@@ -69,52 +69,36 @@ func main() {
 		spanOut = flag.String("span-out", "", "write the diagnosis's span tree as mdtrace JSONL to `file` (.gz compresses; ours)")
 		verbose = flag.Bool("v", false, "print a per-phase timing and counter summary footer")
 	)
-	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	var profFlags prof.Flags
-	profFlags.Register(flag.CommandLine)
+	var inst prof.Flags
+	inst.Register(flag.CommandLine)
+	inst.RegisterExplain(flag.CommandLine)
 	flag.Parse()
 	if *circ == "" || *pfile == "" || *dfile == "" {
 		fmt.Fprintln(os.Stderr, "mddiag: -c, -p and -d are required")
 		os.Exit(2)
 	}
-	if err := run(obsFlags, profFlags, *circ, *pfile, *dfile, *method, *spanOut, *top, *jobs, *ccap, *verbose); err != nil {
+	if err := run(inst, *circ, *pfile, *dfile, *method, *spanOut, *top, *jobs, *ccap, *verbose); err != nil {
 		fatal(err)
 	}
 }
 
 // run is the diagnose command body. It returns instead of exiting so the
-// deferred sink closes always execute: an early error must still flush
-// and close the -trace-out / -explain-out gzip sinks, otherwise a partial
+// deferred finish always executes: an early error must still flush and
+// close the -trace-out / -explain-out gzip sinks, otherwise a partial
 // .gz stream is left without its trailer and the whole file is
 // unreadable.
-func run(obsFlags obs.Flags, profFlags prof.Flags, circ, pfile, dfile, method, spanOut string, top, jobs, ccap int, verbose bool) (err error) {
-	tr, finishObs, err := obsFlags.Setup("mddiag")
+func run(inst prof.Flags, circ, pfile, dfile, method, spanOut string, top, jobs, ccap int, verbose bool) (err error) {
+	// The flight recorder instruments the core engine only, so other
+	// methods fail fast rather than writing an empty file.
+	if inst.ExplainOut != "" && method != "ours" {
+		return fmt.Errorf("-explain-out records the core engine only (method %q)", method)
+	}
+	tr, rec, finish, err := inst.Setup("mddiag")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := finishObs(); err == nil {
-			err = e
-		}
-	}()
-	finishProf, err := profFlags.Setup(tr.Registry())
-	if err != nil {
-		return err
-	}
-	// Deferred after finishObs, so it runs FIRST: the final summary
-	// snapshot reaches the -prof-out sink before the obs run record closes.
-	defer func() {
-		if e := finishProf(); err == nil {
-			err = e
-		}
-	}()
-	rec, finishExplain, err := openRecorder(obsFlags.ExplainOut, method)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if e := finishExplain(); err == nil {
+		if e := finish(); err == nil {
 			err = e
 		}
 	}()
@@ -203,7 +187,7 @@ func writeSpanTree(path string, tree *trace.Tree) (err error) {
 // explainMain is the explain subcommand: replay the diagnosis with the
 // flight recorder attached and render the candidate narratives and the
 // per-bit explanation table. Like run, it returns errors so the deferred
-// sink closes fire on every path.
+// finish fires on every path.
 func explainMain(args []string) (err error) {
 	fs := flag.NewFlagSet("mddiag explain", flag.ExitOnError)
 	var (
@@ -214,42 +198,26 @@ func explainMain(args []string) (err error) {
 		bits  = fs.Bool("bits", true, "render the per-failing-bit explanation table")
 		jobs  = fs.Int("j", 0, "fault-parallel workers for candidate scoring (0 = GOMAXPROCS, 1 = sequential)")
 	)
-	var obsFlags obs.Flags
-	obsFlags.Register(fs)
-	var profFlags prof.Flags
-	profFlags.Register(fs)
+	var inst prof.Flags
+	inst.Register(fs)
+	inst.RegisterExplain(fs)
 	fs.Parse(args)
 	if *circ == "" || *pfile == "" || *dfile == "" {
 		fmt.Fprintln(os.Stderr, "mddiag explain: -c, -p and -d are required")
 		os.Exit(2)
 	}
-	tr, finishObs, err := obsFlags.Setup("mddiag")
+	_, rec, finish, err := inst.Setup("mddiag")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := finishObs(); err == nil {
+		if e := finish(); err == nil {
 			err = e
 		}
 	}()
-	finishProf, err := profFlags.Setup(tr.Registry())
-	if err != nil {
-		return err
+	if rec == nil {
+		rec = explain.New("mddiag") // no -explain-out: retain in memory only
 	}
-	defer func() {
-		if e := finishProf(); err == nil {
-			err = e
-		}
-	}()
-	rec, finishExplain, err := explain.Open(obsFlags.ExplainOut, "mddiag")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if e := finishExplain(); err == nil {
-			err = e
-		}
-	}()
 	c, pats, log, err := loadInputs(*circ, *pfile, *dfile)
 	if err != nil {
 		return err
@@ -278,19 +246,6 @@ func explainMain(args []string) (err error) {
 		fmt.Printf("(%d events dropped past the in-memory retention cap; the JSONL stream is complete)\n", dropped)
 	}
 	return nil
-}
-
-// openRecorder opens the -explain-out recorder for the main command. The
-// flight recorder instruments the core engine only, so other methods fail
-// fast rather than writing an empty file.
-func openRecorder(path, method string) (*explain.Recorder, func() error, error) {
-	if path == "" {
-		return nil, func() error { return nil }, nil
-	}
-	if method != "ours" {
-		return nil, nil, fmt.Errorf("-explain-out records the core engine only (method %q)", method)
-	}
-	return explain.Open(path, "mddiag")
 }
 
 // loadInputs reads the circuit, pattern and datalog files shared by both

@@ -23,8 +23,6 @@ import (
 	"time"
 
 	"multidiag/internal/exp"
-	"multidiag/internal/explain"
-	"multidiag/internal/obs"
 	"multidiag/internal/prof"
 	"multidiag/internal/qrec"
 )
@@ -39,12 +37,11 @@ func main() {
 		qualityOut = flag.String("quality-out", "", "write per-campaign quality records (qrec JSON) to `file` (\"-\" = stdout)")
 		stallAfter = flag.Duration("stall-after", 0, "dump goroutine stacks to stderr when no device completes within this duration (0 = off)")
 	)
-	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	var profFlags prof.Flags
-	profFlags.Register(flag.CommandLine)
+	var inst prof.Flags
+	inst.Register(flag.CommandLine)
+	inst.RegisterExplain(flag.CommandLine)
 	flag.Parse()
-	if err := run(obsFlags, profFlags, *quick, *seeds, *only, *jobs, *progress, *qualityOut, *stallAfter); err != nil {
+	if err := run(inst, *quick, *seeds, *only, *jobs, *progress, *qualityOut, *stallAfter); err != nil {
 		fatal(err)
 	}
 }
@@ -54,42 +51,16 @@ func main() {
 // the -trace-out / -explain-out gzip sinks (a gzip stream abandoned
 // without its trailer is unreadable) and write whatever quality records
 // the campaigns already produced.
-func run(obsFlags obs.Flags, profFlags prof.Flags, quick bool, seeds int, only string, jobs, progress int, qualityOut string, stallAfter time.Duration) (err error) {
-	tr, finishObs, err := obsFlags.Setup("mdexp")
+func run(inst prof.Flags, quick bool, seeds int, only string, jobs, progress int, qualityOut string, stallAfter time.Duration) (err error) {
+	tr, rec, finish, err := inst.Setup("mdexp")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := finishObs(); err == nil {
+		if e := finish(); err == nil {
 			err = e
 		}
 	}()
-	finishProf, err := profFlags.Setup(tr.Registry())
-	if err != nil {
-		return err
-	}
-	// Deferred after finishObs, so it runs first: the -prof-out summary
-	// snapshot lands before the obs run record closes.
-	defer func() {
-		if e := finishProf(); err == nil {
-			err = e
-		}
-	}()
-	// The recorder stays nil without a sink: retaining a whole campaign's
-	// candidate events in memory with nothing reading them helps nobody.
-	var rec *explain.Recorder
-	if obsFlags.ExplainOut != "" {
-		var finishExplain func() error
-		rec, finishExplain, err = explain.Open(obsFlags.ExplainOut, "mdexp")
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if e := finishExplain(); err == nil {
-				err = e
-			}
-		}()
-	}
 	o := exp.Options{Quick: quick, Seeds: seeds, Workers: jobs, Emitter: tr.Emitter(), Explain: rec}
 	if progress > 0 {
 		o.Progress = exp.NewProgress(os.Stderr, time.Duration(progress)*time.Second)

@@ -95,16 +95,14 @@ func main() {
 		verbose        = flag.Bool("v", false, "log request counters on shutdown")
 	)
 	flag.Var(&workloads, "workload", "workload to register: a built-in name (c17, add16, b0300, …) or name=circuit.bench:patterns.txt; repeatable")
-	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	var profFlags prof.Flags
-	profFlags.Register(flag.CommandLine)
+	var inst prof.Flags
+	inst.Register(flag.CommandLine)
 	flag.Parse()
 	if len(workloads) == 0 {
 		fmt.Fprintln(os.Stderr, "mdserve: at least one -workload is required")
 		os.Exit(2)
 	}
-	if err := run(obsFlags, profFlags, workloads, *addr, serve.Config{
+	if err := run(inst, workloads, *addr, serve.Config{
 		MaxInflight:         *maxInflight,
 		MaxInflightBytes:    *maxBytes,
 		QueueDepth:          *queueDepth,
@@ -127,26 +125,15 @@ func main() {
 }
 
 // run is the daemon body. It returns instead of exiting so the deferred
-// obs sink close always executes — the trace .gz must get its trailer
-// even when startup or serving fails.
-func run(obsFlags obs.Flags, profFlags prof.Flags, workloads []string, addr string, cfg serve.Config, traceOut string, drainTimeout time.Duration, recordOut, recordLabel string, verbose bool) (err error) {
-	tr, finishObs, err := obsFlags.Setup("mdserve")
+// finish always executes — the trace .gz must get its trailer even when
+// startup or serving fails.
+func run(inst prof.Flags, workloads []string, addr string, cfg serve.Config, traceOut string, drainTimeout time.Duration, recordOut, recordLabel string, verbose bool) (err error) {
+	tr, _, finish, err := inst.Setup("mdserve")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := finishObs(); err == nil {
-			err = e
-		}
-	}()
-	finishProf, err := profFlags.Setup(tr.Registry())
-	if err != nil {
-		return err
-	}
-	// Deferred after finishObs, so it runs first: the -prof-out summary
-	// snapshot lands before the obs run record closes.
-	defer func() {
-		if e := finishProf(); err == nil {
+		if e := finish(); err == nil {
 			err = e
 		}
 	}()

@@ -52,16 +52,14 @@ func main() {
 		summaryOut  = flag.String("summary-out", "", "write the fleet aggregate JSON to `file` (default stdout)")
 		verbose     = flag.Bool("v", false, "log ingest statistics to stderr")
 	)
-	var obsFlags obs.Flags
-	obsFlags.Register(flag.CommandLine)
-	var profFlags prof.Flags
-	profFlags.Register(flag.CommandLine)
+	var inst prof.Flags
+	inst.Register(flag.CommandLine)
 	flag.Parse()
 	if *in == "" || *workload == "" {
 		fmt.Fprintln(os.Stderr, "mdvol: -in and -workload are required")
 		os.Exit(2)
 	}
-	if err := run(obsFlags, profFlags, *in, *workload, *jobs, *cacheCap, *top, *trendBucket, *paretoTop, *reportsOut, *summaryOut, *verbose); err != nil {
+	if err := run(inst, *in, *workload, *jobs, *cacheCap, *top, *trendBucket, *paretoTop, *reportsOut, *summaryOut, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "mdvol:", err)
 		os.Exit(1)
 	}
@@ -70,22 +68,13 @@ func main() {
 // run is the CLI body; it returns instead of exiting so deferred sink
 // closes always execute (a .gz reports file must get its trailer even on
 // a mid-stream error).
-func run(obsFlags obs.Flags, profFlags prof.Flags, in, workloadSpec string, jobs, cacheCap, top, trendBucket, paretoTop int, reportsOut, summaryOut string, verbose bool) (err error) {
-	tr, finishObs, err := obsFlags.Setup("mdvol")
+func run(inst prof.Flags, in, workloadSpec string, jobs, cacheCap, top, trendBucket, paretoTop int, reportsOut, summaryOut string, verbose bool) (err error) {
+	tr, _, finish, err := inst.Setup("mdvol")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := finishObs(); err == nil {
-			err = e
-		}
-	}()
-	finishProf, err := profFlags.Setup(tr.Registry())
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if e := finishProf(); err == nil {
+		if e := finish(); err == nil {
 			err = e
 		}
 	}()

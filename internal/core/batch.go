@@ -12,18 +12,15 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"multidiag/internal/explain"
 	"multidiag/internal/fault"
 	"multidiag/internal/fsim"
 	"multidiag/internal/netlist"
-	"multidiag/internal/obs"
 	"multidiag/internal/prof"
 	"multidiag/internal/sim"
 	"multidiag/internal/tester"
-	"multidiag/internal/trace"
 )
 
 // DiagnoseBatch diagnoses several devices of one (circuit, test set)
@@ -47,47 +44,19 @@ import (
 func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, logs []*tester.Datalog, cfg Config) ([]*Result, []error, error) {
 	cfg.fill()
 	cfg.Explain = nil
-	tr := cfg.Trace
-	if tr == nil {
-		tr = obs.Global()
-	}
-	root := tr.Span("diagnose_batch")
-	defer root.End()
 	// Request-scoped tree: the batcher parents this under the leader
 	// request's execute span; inert when the context carries no tree.
-	troot := trace.FromContext(ctx).Start("diagnose_batch")
-	troot.SetInt("devices", int64(len(logs)))
-	defer troot.End()
-	reg := tr.Registry()
+	root := prof.Open(ctx, cfg.Trace, "diagnose_batch")
+	defer root.End()
+	root.SetInt("devices", int64(len(logs)))
+	reg := cfg.Trace.Registry()
 	var rec *explain.Recorder // always disabled in batch mode
 
 	results := make([]*Result, len(logs))
 	errs := make([]error, len(logs))
 
-	sp := root.Child("goodsim")
-	tsp := troot.Start("goodsim")
-	_, pt := prof.PhaseCtx(ctx, "goodsim")
-	fs := cfg.SharedSim
-	if fs != nil && (fs.Circuit() != c || fs.NumPatterns() != len(pats)) {
-		fs = nil // shape mismatch: fall back to a private simulator
-	}
-	var err error
-	if fs == nil {
-		fs, err = fsim.NewFaultSim(c, pats)
-	}
-	pt.End()
-	tsp.End()
-	sp.End()
+	fs, cpt, err := openSims(ctx, root, c, pats, cfg, reg)
 	if err != nil {
-		return nil, nil, err
-	}
-	fs.Observe(reg)
-	if cfg.ConeCache != nil && !fs.AttachCache(cfg.ConeCache) {
-		reg.Counter("fsim.cone_cache_rejected").Inc()
-	}
-	cpt := fsim.NewCPT(c)
-	cpt.Observe(reg)
-	if err := checkpoint(ctx, "goodsim"); err != nil {
 		return results, errs, err
 	}
 
@@ -107,12 +76,8 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 			return results, errs, err
 		}
 		st := &devState{start: time.Now()}
-		if log.NumPatterns != len(pats) {
-			errs[i] = fmt.Errorf("core: datalog has %d patterns, test set has %d", log.NumPatterns, len(pats))
-			continue
-		}
-		if log.NumPOs != len(c.POs) {
-			errs[i] = fmt.Errorf("core: datalog has %d POs, circuit has %d", log.NumPOs, len(c.POs))
+		if err := checkShape(c, pats, log); err != nil {
+			errs[i] = err
 			continue
 		}
 		res := &Result{Consistent: true}
@@ -122,26 +87,13 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 			results[i] = res // passing device: nothing to explain
 			continue
 		}
-		st.evIndex = make(map[EvidenceBit]int)
-		for _, p := range failing {
-			for _, po := range log.Fails[p].Members() {
-				bit := EvidenceBit{Pattern: p, PO: po}
-				st.evIndex[bit] = len(res.Evidence)
-				res.Evidence = append(res.Evidence, bit)
-			}
-		}
-		reg.Counter("core.evidence_bits").Add(int64(len(res.Evidence)))
-		reg.Counter("core.failing_patterns").Add(int64(len(failing)))
+		st.evIndex = indexEvidence(res, log, failing, reg)
 
-		sp := root.Child("extract")
-		tsp := troot.Start("extract")
-		ectx, pt := prof.PhaseCtx(ctx, "extract")
-		seeds, err := extractCandidates(ectx, c, cpt, pats, log, cfg.ApproxCPT, fsim.Workers(cfg.Workers), rec)
-		tsp.SetInt("device", int64(i))
-		tsp.SetInt("seeds", int64(len(seeds)))
-		pt.End()
-		tsp.End()
-		sp.End()
+		ph := root.Open("extract")
+		seeds, err := extractCandidates(ph.Ctx(), c, cpt, pats, log, cfg.ApproxCPT, fsim.Workers(cfg.Workers), rec)
+		ph.SetInt("device", int64(i))
+		ph.SetInt("seeds", int64(len(seeds)))
+		ph.End()
 		if err != nil {
 			errs[i] = err
 			continue
@@ -164,28 +116,19 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 	reg.Counter("core.batch_seed_reuse").Add(int64(totalSeeds - len(union)))
 
 	// One coalesced scoring sweep over the union.
-	sp = root.Child("score")
-	tsp = troot.Start("score")
-	pctx, spt := prof.PhaseCtx(ctx, "score")
+	ph := root.Open("score")
 	workers := fsim.Workers(cfg.Workers)
-	tsp.SetInt("workers", int64(workers))
-	tsp.SetInt("union_seeds", int64(len(union)))
-	tsp.SetInt("seed_reuse", int64(totalSeeds-len(union)))
+	ph.SetInt("workers", int64(workers))
+	ph.SetInt("union_seeds", int64(len(union)))
+	ph.SetInt("seed_reuse", int64(totalSeeds-len(union)))
 	reg.Gauge("fsim.workers").Set(int64(workers))
-	psp := sp.Child("fsim.parallel")
-	tpsp := tsp.Start("fsim.parallel")
-	syns := fs.SimulateStuckAtBatchCtx(trace.WithSpan(pctx, tpsp), union, workers)
-	tpsp.End()
-	psp.End()
+	par := ph.Open("fsim.parallel")
+	syns := fs.SimulateStuckAtBatchCtx(par.Ctx(), union, workers)
+	par.End()
+	ph.End()
 	if err := checkpoint(ctx, "score"); err != nil {
-		spt.End()
-		tsp.End()
-		sp.End()
 		return results, errs, err
 	}
-	spt.End()
-	tsp.End()
-	sp.End()
 
 	// Per-device tail of the pipeline, each folding its own view of the
 	// shared syndromes in its own seed order.
@@ -205,7 +148,7 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 		cands := scoreCandidates(c, devSyns, st.seeds, logs[i], st.evIndex, len(res.Evidence), cfg, rec)
 		reg.Counter("core.candidates_scored").Add(int64(len(cands)))
 		reg.Counter("core.candidates_pruned").Add(int64(len(st.seeds) - len(cands)))
-		if err := finishDiagnosis(ctx, root, troot, c, fs, logs[i], st.evIndex, cands, res, cfg, reg, rec); err != nil {
+		if err := finishDiagnosis(ctx, root, c, fs, logs[i], st.evIndex, cands, res, cfg, reg, rec); err != nil {
 			results[i] = nil
 			errs[i] = err
 			return results, errs, err

@@ -48,7 +48,6 @@ import (
 	"multidiag/internal/prof"
 	"multidiag/internal/sim"
 	"multidiag/internal/tester"
-	"multidiag/internal/trace"
 )
 
 // Config tunes the diagnosis engine. The zero value selects the published
@@ -128,6 +127,9 @@ func (cfg *Config) fill() {
 	}
 	if cfg.MaxAggressorsPerVictim <= 0 {
 		cfg.MaxAggressorsPerVictim = 128
+	}
+	if cfg.Trace == nil {
+		cfg.Trace = obs.Global()
 	}
 }
 
@@ -273,56 +275,38 @@ func Diagnose(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg C
 // is observed between phases and between candidate-scoring chunks, and
 // surfaces as a wrapped ErrCanceled. The result is bit-identical to
 // Diagnose when the context never fires.
-func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg Config) (*Result, error) {
+func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg Config) (res *Result, err error) {
 	cfg.fill()
-	tr := cfg.Trace
-	if tr == nil {
-		tr = obs.Global()
-	}
-	root := tr.Span("diagnose")
-	// Request-scoped span tree, if the context carries one. Phase spans
-	// below mirror the obs span taxonomy so aggregate timings and a single
-	// request's tree attribute the same names. Every handle is inert when
-	// the context carries no tree (the allocation-free disabled path).
-	troot := trace.FromContext(ctx).Start("diagnose")
-	defer troot.End() // first End wins, so the success path's End below is the one recorded
-	reg := tr.Registry()
-	if log.NumPatterns != len(pats) {
-		return nil, fmt.Errorf("core: datalog has %d patterns, test set has %d", log.NumPatterns, len(pats))
-	}
-	if log.NumPOs != len(c.POs) {
-		return nil, fmt.Errorf("core: datalog has %d POs, circuit has %d", log.NumPOs, len(c.POs))
+	// Each phase is one prof.Phase handle: it opens and closes the obs
+	// span, the request-tree span (when ctx carries a tree) and, on the
+	// stages, the prof window together, so every sink sees the same
+	// phases. With all of them off it is still a stopwatch, which is what
+	// fills Result.Elapsed.
+	root := prof.Open(ctx, cfg.Trace, "diagnose")
+	defer func() {
+		if d := root.End(); res != nil {
+			res.Elapsed = d
+		}
+	}()
+	reg := cfg.Trace.Registry()
+	if err := checkShape(c, pats, log); err != nil {
+		return nil, err
 	}
 
-	res := &Result{Consistent: true}
+	res = &Result{Consistent: true}
 	failing := log.FailingPatterns()
 	if len(failing) == 0 {
-		root.EndInto(&res.Elapsed)
 		return res, nil // passing device: nothing to explain
 	}
 
 	rec := cfg.Explain
 
-	// Per-output evidence universe. Each phase below also opens a prof
-	// window (inert unless a prof collector is installed): the returned
-	// context carries the phase=<name> pprof label, and End folds the
-	// phase's runtime/metrics deltas into the attribution table.
-	sp := root.Child("evidence")
-	tsp := troot.Start("evidence")
-	_, pt := prof.PhaseCtx(ctx, "evidence")
-	evIndex := make(map[EvidenceBit]int)
-	for _, p := range failing {
-		for _, po := range log.Fails[p].Members() {
-			bit := EvidenceBit{Pattern: p, PO: po}
-			evIndex[bit] = len(res.Evidence)
-			res.Evidence = append(res.Evidence, bit)
-		}
-	}
-	tsp.SetInt("evidence_bits", int64(len(res.Evidence)))
-	tsp.SetInt("failing_patterns", int64(len(failing)))
-	pt.End()
-	tsp.End()
-	sp.End()
+	// Per-output evidence universe.
+	ph := root.Open("evidence")
+	evIndex := indexEvidence(res, log, failing, reg)
+	ph.SetInt("evidence_bits", int64(len(res.Evidence)))
+	ph.SetInt("failing_patterns", int64(len(failing)))
+	ph.End()
 	if rec.Enabled() {
 		bits := make([]explain.Bit, len(res.Evidence))
 		for i, b := range res.Evidence {
@@ -330,31 +314,9 @@ func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, lo
 		}
 		rec.Evidence(bits)
 	}
-	reg.Counter("core.evidence_bits").Add(int64(len(res.Evidence)))
-	reg.Counter("core.failing_patterns").Add(int64(len(failing)))
 
-	sp = root.Child("goodsim")
-	tsp = troot.Start("goodsim")
-	_, pt = prof.PhaseCtx(ctx, "goodsim")
-	fs := cfg.SharedSim
-	if fs != nil && (fs.Circuit() != c || fs.NumPatterns() != len(pats)) {
-		fs = nil // shape mismatch: fall back to a private simulator
-	}
-	var err error
-	if fs == nil {
-		fs, err = fsim.NewFaultSim(c, pats)
-	}
-	pt.End()
-	tsp.End()
-	sp.End()
+	fs, cpt, err := openSims(ctx, root, c, pats, cfg, reg)
 	if err != nil {
-		return nil, err
-	}
-	fs.Observe(reg)
-	if cfg.ConeCache != nil && !fs.AttachCache(cfg.ConeCache) {
-		reg.Counter("fsim.cone_cache_rejected").Inc()
-	}
-	if err := checkpoint(ctx, "goodsim"); err != nil {
 		return nil, err
 	}
 
@@ -364,16 +326,10 @@ func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, lo
 	// Failing patterns are independent back-traces, so they shard across
 	// forked tracers; the union is merged in pattern order (and sorted), so
 	// the seed list is identical at any worker count.
-	sp = root.Child("extract")
-	tsp = troot.Start("extract")
-	ectx, pt := prof.PhaseCtx(ctx, "extract")
-	cpt := fsim.NewCPT(c)
-	cpt.Observe(reg)
-	seeds, err := extractCandidates(ectx, c, cpt, pats, log, cfg.ApproxCPT, workers, rec)
-	tsp.SetInt("seeds", int64(len(seeds)))
-	pt.End()
-	tsp.End()
-	sp.End()
+	ph = root.Open("extract")
+	seeds, err := extractCandidates(ph.Ctx(), c, cpt, pats, log, cfg.ApproxCPT, workers, rec)
+	ph.SetInt("seeds", int64(len(seeds)))
+	ph.End()
 	if err != nil {
 		return nil, err
 	}
@@ -392,65 +348,106 @@ func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, lo
 	// decision — equivalence classes, cover tie-breaks, ranking —
 	// bit-identical to the sequential engine; chunk-wise folding keeps the
 	// live syndrome count (and the allocator) bounded by the worker pool
-	// rather than the seed count.
-	sp = root.Child("score")
-	tsp = troot.Start("score")
-	// The score window's labeled context flows into the worker pool, so
-	// worker goroutines inherit phase=score (and any workload label) and
-	// their allocations land in this window's delta.
-	pctx, pt := prof.PhaseCtx(ctx, "score")
-	tsp.SetInt("workers", int64(workers))
+	// rather than the seed count. The pool runs under fsim.parallel's
+	// context, so worker goroutines inherit phase=score (and any workload
+	// label) and their allocations land in the score window.
+	ph = root.Open("score")
+	ph.SetInt("workers", int64(workers))
 	reg.Gauge("fsim.workers").Set(int64(workers))
-	psp := sp.Child("fsim.parallel")
-	tpsp := tsp.Start("fsim.parallel")
+	par := ph.Open("fsim.parallel")
 	folder := newScoreFolder(c, fs, seeds, log, evIndex, len(res.Evidence), cfg, rec, true)
-	fs.SimulateStuckAtChunksCtx(trace.WithSpan(pctx, tpsp), seeds, workers, func(start int, syns []*fsim.Syndrome) {
+	fs.SimulateStuckAtChunksCtx(par.Ctx(), seeds, workers, func(start int, syns []*fsim.Syndrome) {
 		for i, syn := range syns {
 			folder.fold(start+i, syn)
 		}
 	})
-	tpsp.End()
-	psp.End()
+	par.End()
 	if err := checkpoint(ctx, "score"); err != nil {
-		pt.End()
-		tsp.End()
-		sp.End()
+		ph.End()
 		return nil, err
 	}
 	cands := folder.finish()
-	tsp.SetInt("candidates", int64(len(cands)))
-	pt.End()
-	tsp.End()
-	sp.End()
+	ph.SetInt("candidates", int64(len(cands)))
+	ph.End()
 	reg.Counter("core.candidates_scored").Add(int64(len(cands)))
 	reg.Counter("core.candidates_pruned").Add(int64(len(seeds) - len(cands)))
 
 	// Steps 3–5 plus ranking (shared with DiagnoseBatch).
-	if err := finishDiagnosis(ctx, root, troot, c, fs, log, evIndex, cands, res, cfg, reg, rec); err != nil {
+	if err := finishDiagnosis(ctx, root, c, fs, log, evIndex, cands, res, cfg, reg, rec); err != nil {
 		return nil, err
 	}
-	troot.SetInt("multiplet", int64(len(res.Multiplet)))
-	troot.End()
-	root.EndInto(&res.Elapsed)
+	root.SetInt("multiplet", int64(len(res.Multiplet)))
 	return res, nil
+}
+
+// checkShape rejects a datalog recorded against a different test set or
+// circuit.
+func checkShape(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) error {
+	if log.NumPatterns != len(pats) {
+		return fmt.Errorf("core: datalog has %d patterns, test set has %d", log.NumPatterns, len(pats))
+	}
+	if log.NumPOs != len(c.POs) {
+		return fmt.Errorf("core: datalog has %d POs, circuit has %d", log.NumPOs, len(c.POs))
+	}
+	return nil
+}
+
+// indexEvidence enumerates the observed failing bits of the failing
+// patterns into res.Evidence and returns each bit's index.
+func indexEvidence(res *Result, log *tester.Datalog, failing []int, reg *obs.Registry) map[EvidenceBit]int {
+	evIndex := make(map[EvidenceBit]int)
+	for _, p := range failing {
+		for _, po := range log.Fails[p].Members() {
+			bit := EvidenceBit{Pattern: p, PO: po}
+			evIndex[bit] = len(res.Evidence)
+			res.Evidence = append(res.Evidence, bit)
+		}
+	}
+	reg.Counter("core.evidence_bits").Add(int64(len(res.Evidence)))
+	reg.Counter("core.failing_patterns").Add(int64(len(failing)))
+	return evIndex
+}
+
+// openSims builds what every diagnosis of one workload runs on, the
+// front half DiagnoseCtx and DiagnoseBatch share: the fault simulator —
+// cfg.SharedSim when its shape matches, else a private one built in the
+// goodsim phase — observed on reg with cfg.ConeCache attached, and the
+// critical path tracer that drives extraction.
+func openSims(ctx context.Context, root prof.Phase, c *netlist.Circuit, pats []sim.Pattern, cfg Config, reg *obs.Registry) (*fsim.FaultSim, *fsim.CPT, error) {
+	ph := root.Open("goodsim")
+	fs := cfg.SharedSim
+	if fs != nil && (fs.Circuit() != c || fs.NumPatterns() != len(pats)) {
+		fs = nil // shape mismatch: fall back to a private simulator
+	}
+	var err error
+	if fs == nil {
+		fs, err = fsim.NewFaultSim(c, pats)
+	}
+	ph.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	fs.Observe(reg)
+	if cfg.ConeCache != nil && !fs.AttachCache(cfg.ConeCache) {
+		reg.Counter("fsim.cone_cache_rejected").Inc()
+	}
+	cpt := fsim.NewCPT(c)
+	cpt.Observe(reg)
+	return fs, cpt, checkpoint(ctx, "goodsim")
 }
 
 // finishDiagnosis runs the post-scoring pipeline — greedy per-output
 // covering, fault-model refinement, the X-masking consistency check and
-// the final ranking — filling res in place. It is shared by DiagnoseCtx
-// and DiagnoseBatch so coalesced diagnoses cannot drift from the
-// single-device engine.
-func finishDiagnosis(ctx context.Context, root obs.Span, troot trace.Span, c *netlist.Circuit, fs *fsim.FaultSim, log *tester.Datalog, evIndex map[EvidenceBit]int, cands []*Candidate, res *Result, cfg Config, reg *obs.Registry, rec *explain.Recorder) error {
+// the final ranking — filling res in place, its phases nested under
+// root. It is shared by DiagnoseCtx and DiagnoseBatch so coalesced
+// diagnoses cannot drift from the single-device engine.
+func finishDiagnosis(ctx context.Context, root prof.Phase, c *netlist.Circuit, fs *fsim.FaultSim, log *tester.Datalog, evIndex map[EvidenceBit]int, cands []*Candidate, res *Result, cfg Config, reg *obs.Registry, rec *explain.Recorder) error {
 	// Step 3: greedy per-output covering.
-	sp := root.Child("cover")
-	tsp := troot.Start("cover")
-	_, pt := prof.PhaseCtx(ctx, "cover")
+	ph := root.Open("cover")
 	multiplet, uncovered := cover(c, cands, len(res.Evidence), cfg, rec)
-	tsp.SetInt("multiplet", int64(len(multiplet)))
-	tsp.SetInt("uncovered", int64(uncovered.Count()))
-	pt.End()
-	tsp.End()
-	sp.End()
+	ph.SetInt("multiplet", int64(len(multiplet)))
+	ph.SetInt("uncovered", int64(uncovered.Count()))
+	ph.End()
 	res.Multiplet = multiplet
 	res.UnexplainedBits = uncovered.Count()
 	reg.Histogram("core.multiplet_size").Observe(int64(len(multiplet)))
@@ -461,13 +458,9 @@ func finishDiagnosis(ctx context.Context, root obs.Span, troot trace.Span, c *ne
 
 	// Step 4: fault-model refinement (bridge aggressor search).
 	if !cfg.DisableBridgeSearch {
-		sp = root.Child("refine")
-		tsp = troot.Start("refine")
-		_, pt = prof.PhaseCtx(ctx, "refine")
+		ph = root.Open("refine")
 		refineModels(c, fs, multiplet, log, evIndex, cfg, reg, rec)
-		pt.End()
-		tsp.End()
-		sp.End()
+		ph.End()
 		if err := checkpoint(ctx, "refine"); err != nil {
 			return err
 		}
@@ -479,13 +472,9 @@ func finishDiagnosis(ctx context.Context, root obs.Span, troot trace.Span, c *ne
 
 	// Step 5: X-masking consistency check.
 	if !cfg.DisableXConsistency && len(multiplet) > 0 {
-		sp = root.Child("xcheck")
-		tsp = troot.Start("xcheck")
-		_, pt = prof.PhaseCtx(ctx, "xcheck")
+		ph = root.Open("xcheck")
 		res.Consistent, res.InconsistentPatterns = xConsistent(fs, multiplet, log)
-		pt.End()
-		tsp.End()
-		sp.End()
+		ph.End()
 		if !res.Consistent {
 			reg.Counter("core.xcheck_inconsistent").Inc()
 		}
@@ -598,7 +587,7 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 			wg.Add(1)
 			go func(wk int, t *fsim.CPT) {
 				defer wg.Done()
-				prof.DoWorker(ctx, wk, func(ctx context.Context) {
+				prof.Worker(ctx, wk, "", func(ctx context.Context, _ prof.Phase) {
 					for ctx.Err() == nil {
 						ji := int(next.Add(1)) - 1
 						if ji >= len(jobs) {

@@ -1,85 +1,19 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"multidiag/internal/obs"
 )
 
-// Emitter serializes flight-recorder events as JSON Lines onto one
-// writer, mirroring obs.Emitter: safe for concurrent use, first error
-// sticky so a CLI can stream fire-and-forget and still fail loudly at
-// exit. A nil *Emitter ignores every call.
-type Emitter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	enc *json.Encoder
-	n   int64
-	err error
-}
+// Emitter streams flight-recorder events through the shared sticky-error
+// JSONL writer. The recorder assigns sequence numbers, so events are
+// written verbatim. A nil *Emitter ignores every call.
+type Emitter = obs.JSONL[Event]
 
 // NewEmitter wraps w. The caller owns w's lifecycle (see Close).
-func NewEmitter(w io.Writer) *Emitter {
-	return &Emitter{w: w, enc: json.NewEncoder(w)}
-}
-
-// Emit writes one event line. The recorder assigns sequence numbers, so
-// unlike obs the emitter writes the event verbatim.
-func (e *Emitter) Emit(ev Event) error {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return e.err
-	}
-	if err := e.enc.Encode(ev); err != nil {
-		e.err = fmt.Errorf("explain: emit failed: %w", err)
-		return e.err
-	}
-	e.n++
-	return nil
-}
-
-// Events returns the number of successfully emitted records.
-func (e *Emitter) Events() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
-
-// Err returns the sticky error, if any emission failed.
-func (e *Emitter) Err() error {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// Close closes the underlying writer when it is an io.Closer; the sticky
-// emission error takes precedence over the close error.
-func (e *Emitter) Close() error {
-	if e == nil {
-		return nil
-	}
-	var closeErr error
-	if c, ok := e.w.(io.Closer); ok {
-		closeErr = c.Close()
-	}
-	if err := e.Err(); err != nil {
-		return err
-	}
-	return closeErr
-}
+func NewEmitter(w io.Writer) *Emitter { return obs.NewJSONL[Event](w, nil) }
 
 // Open creates a recorder labelled run streaming to path (gzip-compressed
 // when path ends in ".gz", matching -trace-out). An empty path returns an

@@ -22,7 +22,6 @@ import (
 	"multidiag/internal/fault"
 	"multidiag/internal/logic"
 	"multidiag/internal/prof"
-	"multidiag/internal/trace"
 )
 
 // Workers resolves a worker-count knob: values ≤ 0 select GOMAXPROCS (the
@@ -134,20 +133,16 @@ func (fs *FaultSim) SimulateStuckAtChunksCtx(ctx context.Context, faults []fault
 	if workers > n {
 		workers = n
 	}
-	// When the context carries a span tree, each worker's share gets a
-	// "fsim.worker" span attributing its fault count and cone-cache probe
-	// outcomes (fork-local deltas — see FaultSim.probeHits). Inert handles
-	// when tracing is off: no branches, no allocations.
-	// When the prof collector is enabled, each worker body additionally
-	// runs under a worker=<n> pprof label (on top of the phase/workload
-	// labels the context already carries), so a CPU profile slices down to
-	// individual pool workers; prof.DoWorker calls the body directly when
-	// profiling is off.
-	tsc := trace.FromContext(ctx)
+	// Each worker body runs through prof.Worker: when the context carries
+	// a span tree, the worker's share gets a "fsim.worker" span
+	// attributing its fault count and cone-cache probe outcomes
+	// (fork-local deltas — see FaultSim.probeHits); when the prof
+	// collector is enabled, the body runs under a worker=<n> pprof label
+	// (on top of the phase/workload labels the context already carries),
+	// so a CPU profile slices down to individual pool workers. Both are
+	// inert when off: no branches, no allocations.
 	if workers <= 1 {
-		prof.DoWorker(ctx, 0, func(ctx context.Context) {
-			tsp := tsc.Start("fsim.worker")
-			tsp.SetInt("worker", 0)
+		prof.Worker(ctx, 0, "fsim.worker", func(ctx context.Context, sp prof.Phase) {
 			h0, m0 := fs.probeHits, fs.probeMisses
 			size := batchChunkSize(n, 1)
 			done := 0
@@ -167,10 +162,9 @@ func (fs *FaultSim) SimulateStuckAtChunksCtx(ctx context.Context, faults []fault
 				}
 				fold(start, buf)
 			}
-			tsp.SetInt("faults", int64(done))
-			tsp.SetInt("cache_hits", fs.probeHits-h0)
-			tsp.SetInt("cache_misses", fs.probeMisses-m0)
-			tsp.End()
+			sp.SetInt("faults", int64(done))
+			sp.SetInt("cache_hits", fs.probeHits-h0)
+			sp.SetInt("cache_misses", fs.probeMisses-m0)
 		})
 		return
 	}
@@ -209,9 +203,7 @@ func (fs *FaultSim) SimulateStuckAtChunksCtx(ctx context.Context, faults []fault
 			if w > 0 {
 				defer fs.ReleaseFork(sim)
 			}
-			prof.DoWorker(ctx, w, func(ctx context.Context) {
-				tsp := tsc.Start("fsim.worker")
-				tsp.SetInt("worker", int64(w))
+			prof.Worker(ctx, w, "fsim.worker", func(ctx context.Context, sp prof.Phase) {
 				h0, m0 := sim.probeHits, sim.probeMisses
 				done, claims := 0, 0
 				for ctx.Err() == nil {
@@ -242,11 +234,10 @@ func (fs *FaultSim) SimulateStuckAtChunksCtx(ctx context.Context, faults []fault
 					}
 					results <- chunkResult{idx: ci, syns: syns}
 				}
-				tsp.SetInt("faults", int64(done))
-				tsp.SetInt("chunks", int64(claims))
-				tsp.SetInt("cache_hits", sim.probeHits-h0)
-				tsp.SetInt("cache_misses", sim.probeMisses-m0)
-				tsp.End()
+				sp.SetInt("faults", int64(done))
+				sp.SetInt("chunks", int64(claims))
+				sp.SetInt("cache_hits", sim.probeHits-h0)
+				sp.SetInt("cache_misses", sim.probeMisses-m0)
 			})
 		}(w, sim)
 	}

@@ -32,28 +32,43 @@ type Event struct {
 	Extra    map[string]any     `json:"extra,omitempty"`
 }
 
-// Emitter serializes events as JSON Lines onto one writer. It is safe for
-// concurrent use and keeps the first write/encode error sticky, so a CLI
-// can stream fire-and-forget from hot paths and still fail loudly at exit
-// instead of silently dropping events. A nil *Emitter ignores every call.
-type Emitter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	enc *json.Encoder
-	seq int64
-	n   int64
-	err error
+// JSONL serializes values as JSON Lines onto one writer. It is the one
+// sticky-error writer behind every JSONL stream: obs run and span events
+// (Emitter), explain flight-recorder events and prof snapshots. It is
+// safe for concurrent use and keeps the first write/encode error sticky,
+// so a CLI can stream fire-and-forget from hot paths and still fail
+// loudly at exit instead of silently dropping records. A nil *JSONL
+// ignores every call.
+type JSONL[T any] struct {
+	mu    sync.Mutex
+	w     io.Writer
+	enc   *json.Encoder
+	stamp func(T, int64) T
+	n     int64
+	err   error
 }
+
+// NewJSONL wraps w. stamp, when non-nil, gives each value its sequence
+// number (the count of lines written before it) just before encoding.
+// The caller owns w's lifecycle (see Close).
+func NewJSONL[T any](w io.Writer, stamp func(v T, seq int64) T) *JSONL[T] {
+	return &JSONL[T]{w: w, enc: json.NewEncoder(w), stamp: stamp}
+}
+
+// Emitter streams obs Events, stamping each with its sequence number.
+type Emitter = JSONL[Event]
 
 // NewEmitter wraps w. The caller owns w's lifecycle (see Close).
 func NewEmitter(w io.Writer) *Emitter {
-	return &Emitter{w: w, enc: json.NewEncoder(w)}
+	return NewJSONL(w, func(ev Event, seq int64) Event {
+		ev.Seq = seq
+		return ev
+	})
 }
 
-// Emit writes one event line, assigning its sequence number. After the
-// first failure every subsequent Emit returns the same sticky error
-// without writing.
-func (e *Emitter) Emit(ev Event) error {
+// Emit writes v as one line. After the first failure every subsequent
+// Emit returns the same sticky error without writing.
+func (e *JSONL[T]) Emit(v T) error {
 	if e == nil {
 		return nil
 	}
@@ -62,10 +77,11 @@ func (e *Emitter) Emit(ev Event) error {
 	if e.err != nil {
 		return e.err
 	}
-	ev.Seq = e.seq
-	e.seq++
-	if err := e.enc.Encode(ev); err != nil {
-		e.err = fmt.Errorf("obs: trace emit failed: %w", err)
+	if e.stamp != nil {
+		v = e.stamp(v, e.n)
+	}
+	if err := e.enc.Encode(v); err != nil {
+		e.err = fmt.Errorf("obs: emit failed: %w", err)
 		return e.err
 	}
 	e.n++
@@ -73,7 +89,7 @@ func (e *Emitter) Emit(ev Event) error {
 }
 
 // Events returns the number of successfully emitted records.
-func (e *Emitter) Events() int64 {
+func (e *JSONL[T]) Events() int64 {
 	if e == nil {
 		return 0
 	}
@@ -83,7 +99,7 @@ func (e *Emitter) Events() int64 {
 }
 
 // Err returns the sticky error, if any emission failed.
-func (e *Emitter) Err() error {
+func (e *JSONL[T]) Err() error {
 	if e == nil {
 		return nil
 	}
@@ -95,7 +111,7 @@ func (e *Emitter) Err() error {
 // Close closes the underlying writer when it is an io.Closer and returns
 // the sticky emission error (which takes precedence over the close error:
 // dropped events matter more than a double-close).
-func (e *Emitter) Close() error {
+func (e *JSONL[T]) Close() error {
 	if e == nil {
 		return nil
 	}

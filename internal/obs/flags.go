@@ -7,15 +7,12 @@ import (
 	"time"
 )
 
-// Flags bundles the observability command-line flags shared by the CLIs
-// (mddiag, mdexp, mdfsim): JSONL trace output, the candidate flight
-// recorder, CPU/heap profiles, the pprof/expvar/metrics debug listener
-// and the runtime/metrics sampler.
+// Flags bundles the observability command-line flags: JSONL trace
+// output, CPU/heap profiles, the pprof/expvar/metrics debug listener and
+// the runtime/metrics sampler. The CLIs register them through prof.Flags,
+// their one instrumentation flag set.
 type Flags struct {
-	TraceOut string
-	// ExplainOut is opened by the CLIs that support the flight recorder
-	// (via explain.Open, which obs cannot import); Setup ignores it.
-	ExplainOut string
+	TraceOut   string
 	CPUProfile string
 	MemProfile string
 	// MutexProfile / BlockProfile enable the runtime contention profilers
@@ -36,7 +33,6 @@ type Flags struct {
 // Register installs the flags on fs (use flag.CommandLine for main).
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write JSONL run/span trace records to `file` (.gz compresses)")
-	fs.StringVar(&f.ExplainOut, "explain-out", "", "write JSONL candidate flight-recorder events to `file` (.gz compresses)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to `file` at exit")
 	fs.StringVar(&f.MutexProfile, "mutexprofile", "", "record mutex contention for the whole run and write the profile to `file` at exit")

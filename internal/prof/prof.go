@@ -2,11 +2,14 @@
 // pipeline: phase-attributed allocation and contention accounting on top
 // of runtime/metrics, pprof label propagation so CPU profiles slice by
 // engine stage, and a bounded snapshot ring served at /debug/prof (with an
-// optional JSONL sink cmd/mdprof analyzes offline).
+// optional JSONL sink cmd/mdprof analyzes offline). It also holds the
+// engine's one phase handle (Phase, which drives obs, trace and prof
+// together) and the CLIs' one instrumentation flag set (Flags).
 //
 // Everything is stdlib-only and follows the obs layer's nil-tolerance
-// contract: with no collector installed (the default), every entry point —
-// PhaseCtx, Pin, DoWorker, WithWorkload — degrades to an inert no-op whose
+// contract: with no collector installed (the default), every profiling
+// entry point — PhaseCtx, Worker, Pin, WithWorkload — degrades to an
+// inert no-op whose
 // cost is one atomic pointer load, so instrumented engines need no "is
 // profiling on?" branches and the disabled fast path stays free
 // (BenchmarkDiagnoseProfiled in internal/core pins the enabled-path
@@ -196,8 +199,9 @@ type Collector struct {
 	rolling ring
 	seq     int64
 
-	sinkMu  sync.Mutex
-	sinkErr error
+	// sink streams snapshots to Config.Sink (nil without one); its first
+	// write error is sticky and Stop returns it.
+	sink *obs.JSONL[Snapshot]
 
 	lastPinMu sync.Mutex
 	lastPin   time.Time
@@ -223,6 +227,9 @@ func New(cfg Config) *Collector {
 		phases: make(map[string]*phaseAgg),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+	}
+	if cfg.Sink != nil {
+		c.sink = obs.NewJSONL[Snapshot](cfg.Sink, nil)
 	}
 	c.pinned.buf = make([]Snapshot, cfg.RingSize)
 	c.rolling.buf = make([]Snapshot, cfg.RingSize)
@@ -260,9 +267,7 @@ func (c *Collector) Stop() error {
 		<-c.done
 		c.snapshot(KindSummary, "")
 	})
-	c.sinkMu.Lock()
-	defer c.sinkMu.Unlock()
-	return c.sinkErr
+	return c.sink.Err()
 }
 
 // Phase opens a phase window: the returned token holds the readings at

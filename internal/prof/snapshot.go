@@ -115,28 +115,7 @@ func (c *Collector) snapshot(kind, reason string) {
 		c.rolling.push(s)
 	}
 	c.ringMu.Unlock()
-	c.sink(s)
-}
-
-// sink writes one record to the configured sink; the first write or
-// encode error is sticky and surfaces from Stop.
-func (c *Collector) sink(s Snapshot) {
-	w := c.cfg.Sink
-	if w == nil {
-		return
-	}
-	line, err := json.Marshal(s)
-	if err == nil {
-		line = append(line, '\n')
-		_, err = w.Write(line)
-	}
-	if err != nil {
-		c.sinkMu.Lock()
-		if c.sinkErr == nil {
-			c.sinkErr = err
-		}
-		c.sinkMu.Unlock()
-	}
+	c.sink.Emit(s)
 }
 
 // Pin takes an always-keep snapshot with the given reason. Calls are
@@ -168,7 +147,7 @@ func (c *Collector) PinWith(reason, requestID, traceID string) {
 	c.ringMu.Lock()
 	c.pinned.push(s)
 	c.ringMu.Unlock()
-	c.sink(s)
+	c.sink.Emit(s)
 }
 
 // Pinned returns only the always-keep ring, oldest-first — the snapshots

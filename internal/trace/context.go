@@ -8,12 +8,21 @@ import (
 // ctxKey keys the span context carried through context.Context.
 type ctxKey struct{}
 
-// spanCtx is the stored context value: the request's tree plus the span
-// that new children should hang under. Stored by pointer so FromContext
-// reads it without an interface-boxing allocation.
+// spanCtx is the context carrying the request's tree plus the span that
+// new children should hang under. It wraps its parent context itself
+// rather than going through context.WithValue, so attaching a span costs
+// one allocation, and FromContext reads it without interface boxing.
 type spanCtx struct {
+	context.Context
 	tree   *Tree
 	parent SpanID
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
 }
 
 // SpanContext is the tracing state extracted from a context: which tree
@@ -57,7 +66,7 @@ func WithTree(ctx context.Context, t *Tree) context.Context {
 	if t == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, &spanCtx{tree: t})
+	return &spanCtx{Context: ctx, tree: t}
 }
 
 // WithSpan returns a context under which new spans become children of s.
@@ -67,7 +76,7 @@ func WithSpan(ctx context.Context, s Span) context.Context {
 	if s.t == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, &spanCtx{tree: s.t, parent: s.id})
+	return &spanCtx{Context: ctx, tree: s.t, parent: s.id}
 }
 
 // Traceparent renders a W3C trace context header value, version 00. The
