@@ -127,9 +127,9 @@ func TestDisabledPathInert(t *testing.T) {
 	}
 	restore()
 	ran := false
-	DoWorker(ctx, 3, func(context.Context) { ran = true })
+	Worker(ctx, 3, "", func(context.Context, Phase) { ran = true })
 	if !ran {
-		t.Fatal("disabled DoWorker did not run the body")
+		t.Fatal("disabled Worker did not run the body")
 	}
 	Pin("shed:test") // nil collector: must not panic
 	if Enabled() {
@@ -157,7 +157,7 @@ func TestLabelPropagation(t *testing.T) {
 	assertLabel(pctx, "workload", "c432")
 	assertLabel(pctx, "phase", "score")
 	var sawWorker, sawPhase bool
-	DoWorker(pctx, 7, func(wctx context.Context) {
+	Worker(pctx, 7, "", func(wctx context.Context, _ Phase) {
 		pprof.ForLabels(wctx, func(key, value string) bool {
 			switch {
 			case key == "worker" && value == "7":
