@@ -35,7 +35,7 @@ lint:
 # and explained variants plus the obs micro-benchmarks) and the serving
 # overhead (BenchmarkServeDiagnose vs the same diagnosis via the core
 # API), writes the diagnosis results as a machine-readable baseline to
-# BENCH_diag.json (the committed copy is what benchdiff compares
+# BENCH_diag.json (the committed copy is what `mdgate bench` compares
 # against), and writes a schema-valid quick-suite trace to BENCH_obs.json.
 # The -bench pattern is 'Diagnose|VolumeIngest', not 'BenchmarkDiagnose':
 # the latter would silently skip BenchmarkServeDiagnose and the volume
@@ -43,7 +43,7 @@ lint:
 bench: build
 	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem ./internal/core ./internal/serve ./internal/volume | tee /tmp/bench_core.txt
 	$(GO) test -run xxx -bench 'BenchmarkSpan|BenchmarkCounter|BenchmarkHistogram' -benchmem ./internal/obs
-	bin/benchdiff parse -o BENCH_diag.json < /tmp/bench_core.txt
+	bin/mdgate bench-parse -o BENCH_diag.json < /tmp/bench_core.txt
 	bin/mdexp -quick -seeds 1 -only T1 -trace-out BENCH_obs.json > /dev/null
 
 # benchdiff re-runs the diagnosis benchmarks (core + serving path +
@@ -51,9 +51,9 @@ bench: build
 # baseline, warning on >20% ns/op regressions; the speedup gate requires
 # dedupe to beat the no-cache baseline by ≥5× on the 90%-repeat stream.
 benchdiff: build
-	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem ./internal/core ./internal/serve ./internal/volume | bin/benchdiff parse -o /tmp/bench_current.json
-	bin/benchdiff compare BENCH_diag.json /tmp/bench_current.json
-	bin/benchdiff speedup /tmp/bench_current.json -base BenchmarkVolumeIngest -target BenchmarkVolumeIngestDeduped -min 5
+	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem ./internal/core ./internal/serve ./internal/volume | bin/mdgate bench-parse -o /tmp/bench_current.json
+	bin/mdgate bench BENCH_diag.json /tmp/bench_current.json
+	bin/mdgate speedup /tmp/bench_current.json -base BenchmarkVolumeIngest -target BenchmarkVolumeIngestDeduped -min 5
 
 # QUALITY_CMD is the exact campaign both quality targets run, so the
 # committed baseline and the comparison candidate are always like-for-like
@@ -62,11 +62,12 @@ QUALITY_CMD = bin/mdexp -quick -seeds 3 -only T3 -j 2 -quality-out
 
 # quality re-runs the quick T3 campaign and gates its quality records
 # against the committed QUALITY_baseline.json: accuracy/success drops are
-# errors, resolution/latency drift warns (see cmd/mdtrend). -ms-pct is
-# loosened here: 3-seed campaigns make per-diagnosis timing very noisy.
+# errors, resolution/latency drift warns (see cmd/mdgate; the 200%
+# latency limit is loose because 3-seed campaigns make per-diagnosis
+# timing very noisy).
 quality: build
 	$(QUALITY_CMD) /tmp/quality_current.json > /dev/null
-	bin/mdtrend compare QUALITY_baseline.json /tmp/quality_current.json -ms-pct 200
+	bin/mdgate quality QUALITY_baseline.json /tmp/quality_current.json
 
 # quality-baseline regenerates the committed baseline after an intentional
 # quality change (commit the diff alongside the change that caused it).
@@ -88,16 +89,16 @@ prof: build
 
 # prof-gate re-runs the profiled campaign and gates its per-phase
 # allocation profile against the committed PROF_baseline.json: >25%
-# per-call growth warns, >50% fails (see cmd/mdprof).
+# per-call growth warns, >50% fails (see cmd/mdgate).
 prof-gate: build
 	$(PROF_CMD) /tmp/prof_current.jsonl > /dev/null
-	bin/mdprof gate PROF_baseline.json /tmp/prof_current.jsonl
+	bin/mdgate prof PROF_baseline.json /tmp/prof_current.jsonl
 
 # prof-baseline regenerates the committed allocation baseline after an
 # intentional profile change (commit the diff alongside its cause).
 prof-baseline: build
 	$(PROF_CMD) /tmp/prof_baseline.jsonl > /dev/null
-	bin/mdprof baseline /tmp/prof_baseline.jsonl -o PROF_baseline.json
+	bin/mdgate prof-baseline /tmp/prof_baseline.jsonl -o PROF_baseline.json
 
 # serve-smoke boots mdserve, fires a request burst, checks /metrics, and
 # requires a clean SIGTERM drain — the end-to-end proof behind the
@@ -109,7 +110,7 @@ serve-smoke: build
 # synthetic stream (mdgen -datalogs) through mdvol at several worker
 # counts and cache states (byte-identical reports and aggregates
 # required), then the same stream through a live mdserve /v1/ingest with
-# the aggregates diffed via mdtrend compare-volume.
+# the aggregates diffed via mdgate volume.
 vol-smoke: build
 	sh scripts/vol_smoke.sh
 

@@ -11,7 +11,7 @@
 // Observability: -trace-out writes one JSONL "run" record per table/figure
 // and per campaign (plus the engines' span stream); -cpuprofile,
 // -memprofile and -debug-addr enable the pprof hooks; -quality-out writes
-// the per-campaign quality records mdtrend gates on; -stall-after arms a
+// the per-campaign quality records mdgate quality gates on; -stall-after arms a
 // watchdog that dumps goroutine stacks when no device completes in time
 // (DESIGN.md §Observability).
 package main

@@ -1,36 +1,25 @@
 // mdprof analyzes the continuous-profiling snapshot streams the engines
 // write with -prof-out (and serve at /debug/prof): per-phase
-// allocation/contention attribution tables, diffs between two runs, and a
-// CI gate against a committed per-phase baseline.
+// allocation/contention attribution tables and diffs between two runs.
+// The per-phase allocation gate and its committed baseline live in
+// mdgate (prof, prof-baseline).
 //
 // Usage:
 //
 //	mdprof report run.prof.jsonl             # attribution table of one run
 //	mdprof diff base.jsonl cur.jsonl         # per-phase per-call deltas
-//	mdprof baseline run.prof.jsonl -o PROF_baseline.json
-//	mdprof gate PROF_baseline.json cur.jsonl [-warn-pct 25] [-fail-pct 50]
 //
-// Inputs are mdprof/v1 JSONL (".gz" decompresses, "-" reads stdin). Every
-// command works from the LAST record carrying a phase table — the
+// Inputs are mdprof/v1 JSONL (".gz" decompresses, "-" reads stdin). Both
+// commands work from the LAST record carrying a phase table — the
 // cumulative state at the end of the run — so partial streams from a
-// killed process still analyze. gate normalizes to per-call averages
-// (alloc bytes and objects per phase window), warns beyond -warn-pct,
-// and exits non-zero beyond -fail-pct, printing GitHub Actions
-// annotations inside workflows; absolute growth below -min-bytes /
-// -min-objs never gates (tiny phases flap by a few KiB run to run), and
-// phases present on only one side are reported but never fatal, so a
-// baseline refresh and a new phase can land in the same change.
+// killed process still analyze.
 package main
 
 import (
-	"compress/gzip"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"multidiag/internal/prof"
 )
@@ -45,10 +34,6 @@ func main() {
 		err = reportMain(os.Args[2:])
 	case "diff":
 		err = diffMain(os.Args[2:])
-	case "baseline":
-		err = baselineMain(os.Args[2:])
-	case "gate":
-		err = gateMain(os.Args[2:])
 	default:
 		usage()
 	}
@@ -60,84 +45,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: mdprof report <run.jsonl|->
-       mdprof diff <base.jsonl> <cur.jsonl>
-       mdprof baseline <run.jsonl|-> [-o file]
-       mdprof gate <baseline.json> <cur.jsonl|-> [-warn-pct n] [-fail-pct n] [-min-bytes n] [-min-objs n]`)
+       mdprof diff <base.jsonl> <cur.jsonl>`)
 	os.Exit(2)
-}
-
-// BaselineSchema identifies committed per-phase baselines.
-const BaselineSchema = "mdprof-baseline/v1"
-
-// PhaseBaseline is one phase's committed per-call allocation budget.
-type PhaseBaseline struct {
-	Count             int64   `json:"n"`
-	AllocBytesPerCall float64 `json:"alloc_bytes_per_call"`
-	AllocObjsPerCall  float64 `json:"alloc_objects_per_call"`
-}
-
-// Baseline is the committed PROF_baseline.json layout.
-type Baseline struct {
-	Schema string                   `json:"schema"`
-	Phases map[string]PhaseBaseline `json:"phases"`
-}
-
-// loadSnapshots reads an mdprof/v1 JSONL stream ("-" = stdin, ".gz"
-// decompresses), skipping records with other schemas so a mixed sink
-// still parses.
-func loadSnapshots(path string) ([]prof.Snapshot, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-		if strings.HasSuffix(path, ".gz") {
-			zr, err := gzip.NewReader(f)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			defer zr.Close()
-			r = zr
-		}
-	}
-	var out []prof.Snapshot
-	dec := json.NewDecoder(r)
-	for {
-		var s prof.Snapshot
-		if err := dec.Decode(&s); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if s.Schema == prof.Schema {
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
-// finalAttribution returns the last record carrying a phase table — the
-// run's cumulative state. Records are scanned back-to-front so a stream
-// that ends in phase-less pin records still resolves.
-func finalAttribution(snaps []prof.Snapshot) (prof.Snapshot, error) {
-	for i := len(snaps) - 1; i >= 0; i-- {
-		if len(snaps[i].Phases) > 0 {
-			return snaps[i], nil
-		}
-	}
-	return prof.Snapshot{}, fmt.Errorf("no snapshot with a phase table (was the engine run with -prof?)")
-}
-
-func loadFinal(path string) (prof.Snapshot, error) {
-	snaps, err := loadSnapshots(path)
-	if err != nil {
-		return prof.Snapshot{}, err
-	}
-	return finalAttribution(snaps)
 }
 
 func reportMain(args []string) error {
@@ -146,11 +55,11 @@ func reportMain(args []string) error {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	snaps, err := loadSnapshots(fs.Arg(0))
+	snaps, err := prof.LoadSnapshots(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	final, err := finalAttribution(snaps)
+	final, err := prof.Final(snaps)
 	if err != nil {
 		return err
 	}
@@ -206,15 +115,15 @@ func diffMain(args []string) error {
 	if fs.NArg() != 2 {
 		usage()
 	}
-	base, err := loadFinal(fs.Arg(0))
+	base, err := prof.LoadFinal(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	cur, err := loadFinal(fs.Arg(1))
+	cur, err := prof.LoadFinal(fs.Arg(1))
 	if err != nil {
 		return err
 	}
-	bb, cb := toBaseline(base.Phases), toBaseline(cur.Phases)
+	bb, cb := prof.PerCall(base.Phases), prof.PerCall(cur.Phases)
 	fmt.Fprintf(os.Stdout, "%-16s %16s %16s %9s %14s %14s %9s\n",
 		"phase", "base B/call", "cur B/call", "delta", "base objs", "cur objs", "delta")
 	for _, name := range unionNames(bb.Phases, cb.Phases) {
@@ -234,164 +143,7 @@ func diffMain(args []string) error {
 	return nil
 }
 
-func baselineMain(args []string) error {
-	fs := flag.NewFlagSet("mdprof baseline", flag.ExitOnError)
-	out := fs.String("o", "", "output file (default stdout)")
-	paths, rest := splitPositional(args)
-	fs.Parse(rest)
-	paths = append(paths, fs.Args()...)
-	if len(paths) != 1 {
-		usage()
-	}
-	final, err := loadFinal(paths[0])
-	if err != nil {
-		return err
-	}
-	b := toBaseline(final.Phases)
-	w := os.Stdout
-	if *out != "" {
-		w, err = os.Create(*out)
-		if err != nil {
-			return err
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(b); err != nil {
-		return err
-	}
-	if *out != "" {
-		if err := w.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mdprof: wrote %d phases to %s\n", len(b.Phases), *out)
-	}
-	return nil
-}
-
-func gateMain(args []string) error {
-	fs := flag.NewFlagSet("mdprof gate", flag.ExitOnError)
-	warnPct := fs.Float64("warn-pct", 25, "per-phase per-call alloc regression percentage that warns")
-	failPct := fs.Float64("fail-pct", 50, "per-phase per-call alloc regression percentage that fails (exit 1); 0 disables")
-	minBytes := fs.Float64("min-bytes", 16384, "noise floor: bytes/call growth below this never gates")
-	minObjs := fs.Float64("min-objs", 256, "noise floor: objects/call growth below this never gates")
-	paths, rest := splitPositional(args)
-	fs.Parse(rest)
-	paths = append(paths, fs.Args()...)
-	if len(paths) != 2 {
-		usage()
-	}
-	base, err := loadBaseline(paths[0])
-	if err != nil {
-		return err
-	}
-	final, err := loadFinal(paths[1])
-	if err != nil {
-		return err
-	}
-	warnings, failures := gate(os.Stdout, base, toBaseline(final.Phases), *warnPct, *failPct, *minBytes, *minObjs)
-	if failures > 0 {
-		return fmt.Errorf("%d phase(s) beyond the %.0f%% failure threshold (%d warning(s))", failures, *failPct, warnings)
-	}
-	return nil
-}
-
-// gate prints the per-phase comparison and returns how many per-call
-// alloc regressions (bytes or objects, whichever is worse) crossed the
-// warn and fail thresholds. A dimension only gates when its absolute
-// per-call growth also clears its noise floor: tiny phases flap by a
-// few KiB and a handful of objects run to run (GC timing, per-P stat
-// flush lag), and a 2× jump from 2KiB is noise where a 2× jump from
-// 2MiB is a bug. Phases on only one side are reported but never fatal.
-func gate(w io.Writer, base, cur *Baseline, warnPct, failPct, minBytes, minObjs float64) (warnings, failures int) {
-	fmt.Fprintf(w, "%-16s %16s %16s %9s\n", "phase", "base B/call", "cur B/call", "delta")
-	for _, name := range unionNames(base.Phases, cur.Phases) {
-		b, inBase := base.Phases[name]
-		c, inCur := cur.Phases[name]
-		switch {
-		case !inCur:
-			fmt.Fprintf(w, "%-16s %16.0f %16s %9s\n", name, b.AllocBytesPerCall, "—", "gone")
-		case !inBase:
-			fmt.Fprintf(w, "%-16s %16s %16.0f %9s\n", name, "—", c.AllocBytesPerCall, "new")
-		default:
-			dBytes := pctDelta(b.AllocBytesPerCall, c.AllocBytesPerCall)
-			dObjs := pctDelta(b.AllocObjsPerCall, c.AllocObjsPerCall)
-			var delta float64
-			var unit string
-			var bv, cv float64
-			if c.AllocBytesPerCall-b.AllocBytesPerCall >= minBytes {
-				delta, unit = dBytes, "B/call"
-				bv, cv = b.AllocBytesPerCall, c.AllocBytesPerCall
-			}
-			if c.AllocObjsPerCall-b.AllocObjsPerCall >= minObjs && dObjs > delta {
-				delta, unit = dObjs, "objs/call"
-				bv, cv = b.AllocObjsPerCall, c.AllocObjsPerCall
-			}
-			fmt.Fprintf(w, "%-16s %16.0f %16.0f %+8.1f%%\n", name, b.AllocBytesPerCall, c.AllocBytesPerCall, dBytes)
-			switch {
-			case unit == "": // below the noise floors
-			case failPct > 0 && delta > failPct:
-				failures++
-				annotate("error", fmt.Sprintf("phase %s allocation regressed %.1f%% (%.0f → %.0f %s, failure threshold %.0f%%)",
-					name, delta, bv, cv, unit, failPct))
-			case delta > warnPct:
-				warnings++
-				annotate("warning", fmt.Sprintf("phase %s allocation regressed %.1f%% (%.0f → %.0f %s, threshold %.0f%%)",
-					name, delta, bv, cv, unit, warnPct))
-			}
-		}
-	}
-	return warnings, failures
-}
-
-// splitPositional peels leading positional args off so subcommands accept
-// "mdprof baseline run.jsonl -o file" as documented ("-" counts as a
-// positional stdin path, not a flag).
-func splitPositional(args []string) (paths, rest []string) {
-	rest = args
-	for len(rest) > 0 && (rest[0] == "-" || !strings.HasPrefix(rest[0], "-")) {
-		paths = append(paths, rest[0])
-		rest = rest[1:]
-	}
-	return paths, rest
-}
-
-// toBaseline normalizes a phase table to per-call averages.
-func toBaseline(phases []prof.PhaseProf) *Baseline {
-	b := &Baseline{Schema: BaselineSchema, Phases: map[string]PhaseBaseline{}}
-	for _, p := range phases {
-		if p.Count == 0 {
-			continue
-		}
-		b.Phases[p.Name] = PhaseBaseline{
-			Count:             p.Count,
-			AllocBytesPerCall: float64(p.AllocBytes) / float64(p.Count),
-			AllocObjsPerCall:  float64(p.AllocObjects) / float64(p.Count),
-		}
-	}
-	return b
-}
-
-func loadBaseline(path string) (*Baseline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var b Baseline
-	if err := json.NewDecoder(f).Decode(&b); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.Schema != BaselineSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, b.Schema, BaselineSchema)
-	}
-	if len(b.Phases) == 0 {
-		return nil, fmt.Errorf("%s: no phases", path)
-	}
-	return &b, nil
-}
-
-func unionNames(a, b map[string]PhaseBaseline) []string {
+func unionNames(a, b map[string]prof.PhaseBaseline) []string {
 	seen := map[string]bool{}
 	for n := range a {
 		seen[n] = true
@@ -415,17 +167,6 @@ func pctDelta(base, cur float64) float64 {
 		return 0
 	}
 	return (cur - base) / base * 100
-}
-
-// annotate prints a regression annotation, using GitHub Actions syntax
-// inside workflows so the step is flagged in the UI (same convention as
-// cmd/benchdiff).
-func annotate(level, msg string) {
-	if os.Getenv("GITHUB_ACTIONS") == "true" {
-		fmt.Printf("::%s title=profile regression::%s\n", level, msg)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: %s\n", strings.ToUpper(level), msg)
 }
 
 func fmtSec(ns int64) string {

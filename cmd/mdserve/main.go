@@ -35,7 +35,7 @@
 // server drains gracefully: admission stops (429/503), queued and
 // in-flight requests finish (bounded by -drain-timeout), observability
 // sinks flush, and -service-record-out captures the run's serving
-// behaviour for mdtrend compare-serve.
+// behaviour for mdgate serve.
 package main
 
 import (
@@ -81,7 +81,7 @@ func main() {
 		requestTimeout = flag.Duration("request-timeout", 30*time.Second, "per-request deadline (a request's timeout_ms may lower it)")
 		jobs           = flag.Int("j", 0, "fault-parallel workers per scoring pass (0 = GOMAXPROCS)")
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-		recordOut      = flag.String("service-record-out", "", "write a qrec service record (for mdtrend compare-serve) to `file` on shutdown")
+		recordOut      = flag.String("service-record-out", "", "write a qrec service record (for mdgate serve) to `file` on shutdown")
 		recordLabel    = flag.String("service-record-label", "serve", "label for the service record")
 		traceSample    = flag.Float64("trace-sample", 0.1, "tail-sampler retention probability for routine request traces (shed/504/panic/slow always kept); negative disables request tracing")
 		traceCapacity  = flag.Int("trace-capture", 64, "capacity of EACH /debug/trace retention ring (flagged + sampled)")

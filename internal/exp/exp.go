@@ -61,7 +61,7 @@ type Options struct {
 	Progress *Progress
 	// Quality, when set, collects one machine-readable quality record per
 	// (campaign, method) — the payload of mdexp -quality-out and the
-	// mdtrend regression gate. Shared by concurrent device workers; the
+	// mdgate quality regression gate. Shared by concurrent device workers; the
 	// collector serializes internally.
 	Quality *qrec.Collector
 	// Watchdog, when set, is ticked on every completed device; it dumps

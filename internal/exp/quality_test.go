@@ -40,7 +40,11 @@ func runQualityCampaign(t *testing.T) (*campaign, map[string]qrec.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cp, o.Quality.File().Lookup()
+	recs := map[string]qrec.Record{}
+	for _, r := range o.Quality.File().Records {
+		recs[r.Key()] = r
+	}
+	return cp, recs
 }
 
 // TestCampaignQualityRecords pins the record emission contract: one
@@ -86,7 +90,7 @@ func TestCampaignQualityRecords(t *testing.T) {
 }
 
 // TestQualityCoreDeterministic: the gated fields must be identical across
-// repeated runs — that is what lets mdtrend treat any drop as semantic.
+// repeated runs — that is what lets mdgate quality treat any drop as semantic.
 func TestQualityCoreDeterministic(t *testing.T) {
 	_, a := runQualityCampaign(t)
 	_, b := runQualityCampaign(t)

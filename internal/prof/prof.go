@@ -2,9 +2,12 @@
 // pipeline: phase-attributed allocation and contention accounting on top
 // of runtime/metrics, pprof label propagation so CPU profiles slice by
 // engine stage, and a bounded snapshot ring served at /debug/prof (with an
-// optional JSONL sink cmd/mdprof analyzes offline). It also holds the
-// engine's one phase handle (Phase, which drives obs, trace and prof
-// together) and the CLIs' one instrumentation flag set (Flags).
+// optional JSONL sink cmd/mdprof analyzes offline). It owns that
+// mdprof/v1 stream both ways: it also reads it back (LoadSnapshots,
+// Final) and normalizes a phase table to per-call budgets (PerCall) for
+// mdprof and the allocation gate. It also holds the engine's one phase
+// handle (Phase, which drives obs, trace and prof together) and the
+// CLIs' one instrumentation flag set (Flags).
 //
 // Everything is stdlib-only and follows the obs layer's nil-tolerance
 // contract: with no collector installed (the default), every profiling
@@ -22,7 +25,7 @@
 // When two phases are open concurrently (e.g. two served diagnoses
 // in-flight at once) their windows overlap and both phases absorb the
 // shared activity; per-phase numbers then over-count but remain
-// comparable run-to-run, which is what the mdprof gate needs. Single-run
+// comparable run-to-run, which is what the allocation gate (mdgate prof) needs. Single-run
 // CLI diagnoses have strictly sequential phases, and there the per-phase
 // deltas sum to the run's total allocation (asserted to within 10% by
 // internal/core's TestProfPhaseAllocAttribution).

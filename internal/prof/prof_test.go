@@ -87,6 +87,9 @@ func TestConcurrentPhases(t *testing.T) {
 	install(t, c)
 
 	const workers, rounds = 8, 20
+	// One sink slot per goroutine keeps the allocations live without a
+	// shared write.
+	sinks := make([][]byte, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -95,7 +98,7 @@ func TestConcurrentPhases(t *testing.T) {
 			name := fmt.Sprintf("phase%d", w%2)
 			for i := 0; i < rounds; i++ {
 				_, pt := PhaseCtx(context.Background(), name)
-				ballast = append(ballast[:0], make([]byte, 256))
+				sinks[w] = make([]byte, 256)
 				pt.End()
 			}
 		}(w)

@@ -7,17 +7,16 @@
 // The experiment suite (internal/exp) collects records during a run;
 // mdexp -quality-out serializes them deterministically (stable sort,
 // stable float rendering) so a committed baseline file diffs cleanly; and
-// cmd/mdtrend compares a fresh run against that baseline, turning silent
-// quality regressions into failing CI the same way cmd/benchdiff guards
-// ns/op. Quality numbers are deterministic from the campaign seeds, so an
-// accuracy cell that moves is a semantic change, not noise; only the
-// timing fields vary between machines, and comparisons treat them as
-// warn-only.
+// `mdgate quality` compares a fresh run against that baseline, turning
+// silent quality regressions into failing CI the same way `mdgate bench`
+// guards ns/op. Quality numbers are deterministic from the campaign
+// seeds, so an accuracy cell that moves is a semantic change, not noise;
+// only the timing fields vary between machines, and the gate treats them
+// as warn-only.
 package qrec
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -26,7 +25,7 @@ import (
 )
 
 // Schema is the quality-record file schema version, bumped on any
-// incompatible Record change so mdtrend refuses to compare across
+// incompatible Record change so the gate refuses to compare across
 // incompatible files instead of mis-reading them.
 const Schema = 1
 
@@ -87,15 +86,6 @@ type File struct {
 	Records []Record `json:"records"`
 }
 
-// Lookup indexes the records by Key; duplicate keys keep the last record.
-func (f *File) Lookup() map[string]Record {
-	out := make(map[string]Record, len(f.Records))
-	for _, r := range f.Records {
-		out[r.Key()] = r
-	}
-	return out
-}
-
 // Encode writes the file deterministically: records sorted by key,
 // two-space indentation, one trailing newline (encoding/json renders
 // map keys sorted, so PhaseMS is stable too).
@@ -120,36 +110,6 @@ func Write(path string, f *File) error {
 		return err
 	}
 	return out.Close()
-}
-
-// Load reads a quality file and validates its shape.
-func Load(r io.Reader) (*File, error) {
-	var f File
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, err
-	}
-	if f.Schema == 0 || f.Records == nil {
-		return nil, fmt.Errorf("qrec: not a quality-record file (missing schema/records)")
-	}
-	return &f, nil
-}
-
-// LoadFile reads path ("-" reads stdin, matching benchdiff).
-func LoadFile(path string) (*File, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	f, err := Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
 }
 
 // Collector accumulates records from concurrent campaign workers. A nil

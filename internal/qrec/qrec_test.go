@@ -47,27 +47,6 @@ func TestDeterministicSerialization(t *testing.T) {
 	}
 }
 
-func TestLoadRoundTripAndRejects(t *testing.T) {
-	c := &Collector{}
-	c.Add(rec("T3/x/2", "ours", 0.75))
-	var buf bytes.Buffer
-	if err := c.File().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	f, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != Schema || len(f.Records) != 1 || f.Records[0].SiteAcc != 0.75 {
-		t.Fatalf("round trip mangled file: %+v", f)
-	}
-	for _, junk := range []string{"", "{}", `{"schema":1}`, `{"benchmarks":{}}`, "not json"} {
-		if _, err := Load(strings.NewReader(junk)); err == nil {
-			t.Errorf("Load accepted %q", junk)
-		}
-	}
-}
-
 func TestNilCollector(t *testing.T) {
 	var c *Collector
 	c.Add(rec("x", "ours", 1)) // must not panic
@@ -76,85 +55,5 @@ func TestNilCollector(t *testing.T) {
 	}
 	if f := c.File(); f.Schema != Schema || len(f.Records) != 0 {
 		t.Errorf("nil collector file: %+v", f)
-	}
-}
-
-func findings(fs []Finding, level string) int {
-	n := 0
-	for _, f := range fs {
-		if f.Level == level {
-			n++
-		}
-	}
-	return n
-}
-
-// TestCompareGates pins the gate semantics: identical files are clean, an
-// accuracy drop past the threshold is an error, resolution/latency growth
-// warns, one-sided records never gate.
-func TestCompareGates(t *testing.T) {
-	base := &File{Schema: Schema, Records: []Record{
-		rec("T3/x/2", "ours", 1), rec("T3/x/3", "ours", 0.9),
-	}}
-	th := DefaultThresholds()
-
-	var out bytes.Buffer
-	if fs := Compare(&out, base, base, th); len(fs) != 0 {
-		t.Fatalf("self-compare found %v", fs)
-	}
-	if !strings.Contains(out.String(), "T3/x/2") {
-		t.Errorf("delta table missing campaign:\n%s", out.String())
-	}
-
-	// Corrupt one accuracy cell past the hard threshold: error.
-	cur := &File{Schema: Schema, Records: []Record{
-		rec("T3/x/2", "ours", 1), rec("T3/x/3", "ours", 0.9-th.AccDrop-0.01),
-	}}
-	fs := Compare(&out, base, cur, th)
-	// Site, region and success all carry the corrupted value.
-	if findings(fs, "error") != 3 || findings(fs, "warning") != 0 {
-		t.Fatalf("corrupted accuracy: findings %v", fs)
-	}
-	if !strings.Contains(fs[0].Message, "T3/x/3") {
-		t.Errorf("finding does not name the record: %v", fs[0])
-	}
-
-	// A drop inside the threshold passes.
-	cur.Records[1].SiteAcc = 0.9 - th.AccDrop + 0.001
-	cur.Records[1].RegionAcc = cur.Records[1].SiteAcc
-	cur.Records[1].Success = cur.Records[1].SiteAcc
-	if fs := Compare(&out, base, cur, th); len(fs) != 0 {
-		t.Fatalf("in-threshold drop gated: %v", fs)
-	}
-
-	// Resolution and latency growth warn but never error.
-	worse := rec("T3/x/2", "ours", 1)
-	worse.Resolution *= 2
-	worse.MsPerDiag *= 3
-	cur = &File{Schema: Schema, Records: []Record{worse, rec("T3/x/3", "ours", 0.9)}}
-	fs = Compare(&out, base, cur, th)
-	if findings(fs, "error") != 0 || findings(fs, "warning") != 2 {
-		t.Fatalf("resolution/latency drift: findings %v", fs)
-	}
-
-	// One-sided records report but do not gate.
-	cur = &File{Schema: Schema, Records: []Record{rec("T3/x/2", "ours", 1), rec("NEW/y/4", "ours", 1)}}
-	out.Reset()
-	if fs := Compare(&out, base, cur, th); len(fs) != 0 {
-		t.Fatalf("one-sided records gated: %v", fs)
-	}
-	for _, want := range []string{"gone from current", "new (not in baseline)"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestCompareSchemaMismatch(t *testing.T) {
-	base := &File{Schema: Schema, Records: []Record{rec("T3/x/2", "ours", 1)}}
-	cur := &File{Schema: Schema + 1, Records: []Record{rec("T3/x/2", "ours", 1)}}
-	fs := Compare(&bytes.Buffer{}, base, cur, DefaultThresholds())
-	if len(fs) != 1 || fs[0].Level != "error" || !strings.Contains(fs[0].Message, "schema mismatch") {
-		t.Fatalf("schema mismatch findings: %v", fs)
 	}
 }

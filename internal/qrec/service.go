@@ -2,7 +2,6 @@ package qrec
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -16,8 +15,8 @@ const ServiceSchema = 1
 // ServiceRecord is one diagnosis-service run summary: the admission and
 // batching behaviour (requests, sheds, timeouts, panics, batch shape) and
 // the end-to-end latency quantiles. mdserve writes one on shutdown;
-// mdtrend compare-serve gates a fresh run against a committed baseline
-// the way compare gates campaign quality.
+// `mdgate serve` gates a fresh run against a baseline the way
+// `mdgate quality` gates campaign quality.
 type ServiceRecord struct {
 	// Label identifies the run scenario (e.g. "smoke"); with nothing else
 	// it is the record's identity within a file.
@@ -73,7 +72,7 @@ func (f *ServiceFile) AddService(r ServiceRecord) {
 	f.Records = append(f.Records, r.normalize())
 }
 
-// EncodeService writes the file deterministically (sorted records, stable
+// Encode writes the file deterministically (sorted records, stable
 // floats), matching File.Encode.
 func (f *ServiceFile) Encode(w io.Writer) error {
 	sorted := &ServiceFile{Schema: f.Schema, Records: append([]ServiceRecord(nil), f.Records...)}
@@ -96,128 +95,4 @@ func WriteService(path string, f *ServiceFile) error {
 		return err
 	}
 	return out.Close()
-}
-
-// LoadService reads a service-record file and validates its shape.
-func LoadService(r io.Reader) (*ServiceFile, error) {
-	var f ServiceFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, err
-	}
-	if f.Schema == 0 || f.Records == nil {
-		return nil, fmt.Errorf("qrec: not a service-record file (missing schema/records)")
-	}
-	return &f, nil
-}
-
-// LoadServiceFile reads path ("-" reads stdin).
-func LoadServiceFile(path string) (*ServiceFile, error) {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	f, err := LoadService(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
-// ServiceThresholds controls when a service delta is a regression. Shed
-// rate gates hard: under the pinned smoke scenario the admission limits
-// are deterministic, so a shed-rate jump means the serving path got
-// slower or the limits changed. Latency warns (machine-dependent).
-// A panic in the current run is always an error.
-type ServiceThresholds struct {
-	// ShedInc is the absolute shed-rate increase that is an error.
-	ShedInc float64
-	// LatencyPct is the p95 service-latency increase percentage that warns.
-	LatencyPct float64
-}
-
-// DefaultServiceThresholds matches the serve-smoke CI gate.
-func DefaultServiceThresholds() ServiceThresholds {
-	return ServiceThresholds{ShedInc: 0.05, LatencyPct: 75}
-}
-
-// CompareService prints a per-record delta table and returns the
-// threshold crossings, errors first (the Compare contract: one-sided
-// records are reported but never fatal).
-func CompareService(w io.Writer, base, cur *ServiceFile, th ServiceThresholds) []Finding {
-	if base.Schema != cur.Schema {
-		return []Finding{{
-			Level: "error",
-			Key:   "schema",
-			Message: fmt.Sprintf("service schema mismatch: baseline v%d vs current v%d — regenerate the baseline",
-				base.Schema, cur.Schema),
-		}}
-	}
-	bm := make(map[string]ServiceRecord, len(base.Records))
-	for _, r := range base.Records {
-		bm[r.Key()] = r
-	}
-	cm := make(map[string]ServiceRecord, len(cur.Records))
-	for _, r := range cur.Records {
-		cm[r.Key()] = r
-	}
-	keys := make([]string, 0, len(bm)+len(cm))
-	seen := make(map[string]bool)
-	for _, r := range append(append([]ServiceRecord(nil), base.Records...), cur.Records...) {
-		if !seen[r.Key()] {
-			seen[r.Key()] = true
-			keys = append(keys, r.Key())
-		}
-	}
-	sort.Strings(keys)
-
-	var errs, warns []Finding
-	fmt.Fprintf(w, "%-16s %14s %16s %16s %18s\n",
-		"label", "requests", "shed rate", "mean batch", "service p95 ms")
-	for _, k := range keys {
-		b, inBase := bm[k]
-		c, inCur := cm[k]
-		switch {
-		case !inCur:
-			fmt.Fprintf(w, "%-16s %66s\n", b.Label, "— gone from current run")
-			continue
-		case !inBase:
-			fmt.Fprintf(w, "%-16s %66s\n", c.Label, "— new (not in baseline)")
-			continue
-		}
-		fmt.Fprintf(w, "%-16s %5d → %5d %7.3f → %6.3f %7.2f → %6.2f %8.2f → %7.2f\n",
-			c.Label, b.Requests, c.Requests, b.ShedRate, c.ShedRate,
-			b.MeanBatch, c.MeanBatch, b.ServiceP95MS, c.ServiceP95MS)
-
-		if c.Panics > 0 {
-			errs = append(errs, Finding{
-				Level:   "error",
-				Key:     k,
-				Message: fmt.Sprintf("%s: %d handler panic(s) in current run", k, c.Panics),
-			})
-		}
-		if inc := c.ShedRate - b.ShedRate; inc > th.ShedInc {
-			errs = append(errs, Finding{
-				Level: "error",
-				Key:   k,
-				Message: fmt.Sprintf("%s shed rate rose %.3f → %.3f (+%.3f, threshold %.3f)",
-					k, b.ShedRate, c.ShedRate, inc, th.ShedInc),
-			})
-		}
-		if th.LatencyPct > 0 && b.ServiceP95MS > 0 {
-			if pct := (c.ServiceP95MS - b.ServiceP95MS) / b.ServiceP95MS * 100; pct > th.LatencyPct {
-				warns = append(warns, Finding{
-					Level: "warning",
-					Key:   k,
-					Message: fmt.Sprintf("%s service p95 slowed %.1f%% (%.2f → %.2f ms, threshold %.0f%%)",
-						k, pct, b.ServiceP95MS, c.ServiceP95MS, th.LatencyPct),
-				})
-			}
-		}
-	}
-	return append(errs, warns...)
 }

@@ -96,7 +96,7 @@ func BenchmarkServeDiagnose(b *testing.B) { benchServeDiagnose(b, 0) }
 // BenchmarkServeDiagnoseNoTrace is the same request with request tracing
 // disabled — the allocation-free path. The gap to BenchmarkServeDiagnose
 // is the whole-request tracing overhead (span trees per request plus the
-// capture decision); benchdiff gates both against the baseline, so the
+// capture decision); mdgate bench gates both against the baseline, so the
 // disabled path is pinned independently of the traced one.
 func BenchmarkServeDiagnoseNoTrace(b *testing.B) { benchServeDiagnose(b, -1) }
 

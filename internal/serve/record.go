@@ -7,7 +7,7 @@ import (
 // ServiceRecord snapshots the server's serving-path behaviour as a qrec
 // service record: admission outcomes, coalescing ratio, and latency
 // quantiles. mdserve writes one on shutdown (-service-record-out) so
-// mdtrend compare-serve can gate serving regressions the way compare
+// mdgate serve can gate serving regressions the way mdgate quality
 // gates campaign quality.
 func (s *Server) ServiceRecord(label string) qrec.ServiceRecord {
 	requests := s.reg.Counter("serve.requests").Value()

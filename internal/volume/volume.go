@@ -20,7 +20,7 @@
 //   - folds every device — deduped or not — into an incremental fleet
 //     aggregate (see Aggregator): per-site suspect Pareto tables,
 //     defect-class trend series and dedupe-ratio stats, emitted as a
-//     deterministic JSON summary consumable by qrec/mdtrend.
+//     deterministic JSON summary that mdgate volume compares.
 //
 // Determinism contract: a cached report is the byte-identical JSON a
 // direct core.Diagnose of the same datalog would render (the report core

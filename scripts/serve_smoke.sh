@@ -6,7 +6,8 @@
 # workloads, fires a burst of diagnose requests (including one batch and
 # one explained request), checks /metrics for the serve metric family,
 # then SIGTERMs the daemon and requires a clean exit with a service
-# record written. Requires curl.
+# record written that the service gate (mdgate serve) accepts against
+# itself. Requires curl.
 set -eu
 
 if ! command -v curl >/dev/null 2>&1; then
@@ -15,6 +16,7 @@ if ! command -v curl >/dev/null 2>&1; then
 fi
 
 BIN=${BIN:-bin/mdserve}
+MDGATE=${MDGATE:-bin/mdgate}
 WORK=$(mktemp -d)
 LOG="$WORK/mdserve.log"
 REC="$WORK/serve_record.json"
@@ -24,7 +26,9 @@ trap 'kill "$PID" 2>/dev/null || true; [ -n "$PID2" ] && kill "$PID2" 2>/dev/nul
 # -trace-sample 1 retains every request's span tree so the /debug/trace
 # assertion below is deterministic. -prof enables the continuous
 # profiler (scraped below at /debug/prof), and -debug-addr boots the
-# pprof debug server for the mutex-profile scrape.
+# pprof debug server for the mutex-profile scrape. The log exists before
+# the listen-line poll, which runs under set -e.
+: >"$LOG"
 "$BIN" -addr 127.0.0.1:0 -workload c17 -workload add16 \
     -max-batch 4 -queue-depth 16 -service-record-out "$REC" \
     -trace-sample 1 -trace-spans-out "$WORK/traces.jsonl" \
@@ -129,6 +133,9 @@ wait "$PID" && rc=0 || rc=$?
 grep -q "mdserve: drained" "$LOG" || fail "no drain confirmation in log"
 [ -s "$REC" ] || fail "service record not written"
 grep -q '"requests": 11' "$REC" || fail "service record miscounted requests: $(cat "$REC")"
+# The service gate agrees with itself on the record just written.
+"$MDGATE" serve "$REC" "$REC" >"$WORK/gate_serve.log" 2>&1 \
+    || { cat "$WORK/gate_serve.log"; fail "mdgate serve flagged the service record against itself"; }
 [ -s "$WORK/traces.jsonl" ] || fail "-trace-spans-out sink not written"
 
 # Incident observatory leg: a second instance armed with -incident-dir
@@ -139,6 +146,7 @@ grep -q '"requests": 11' "$REC" || fail "service record miscounted requests: $(c
 # assertion above stays exact.
 INCDIR="$WORK/incidents"
 LOG2="$WORK/mdserve2.log"
+: >"$LOG2"
 "$BIN" -addr 127.0.0.1:0 -workload c17 -max-inflight 1 \
     -incident-dir "$INCDIR" -incident-min-interval 0 \
     >"$LOG2" 2>&1 &

@@ -13,13 +13,13 @@
 #   3. the cache-disabled run (-cache -1) produces the same reports and
 #      the same aggregate — dedupe is a pure optimization;
 #   4. the same stream POSTed to a live mdserve /v1/ingest lands on the
-#      same fleet aggregate (checked via mdtrend compare-volume).
+#      same fleet aggregate (checked via mdgate volume).
 set -eu
 
 MDGEN=${MDGEN:-bin/mdgen}
 MDVOL=${MDVOL:-bin/mdvol}
 MDSERVE=${MDSERVE:-bin/mdserve}
-MDTREND=${MDTREND:-bin/mdtrend}
+MDGATE=${MDGATE:-bin/mdgate}
 WORK=$(mktemp -d)
 PID=""
 trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
@@ -71,9 +71,9 @@ cmp -s "$WORK/summary_j4.json" "$WORK/summary_nocache.json" \
     || fail "fleet summary changes when the fingerprint cache is disabled"
 
 # The trend gate agrees with itself on identical summaries.
-"$MDTREND" compare-volume "$WORK/summary_j1.json" "$WORK/summary_j4.json" \
+"$MDGATE" volume "$WORK/summary_j1.json" "$WORK/summary_j4.json" \
     >"$WORK/compare_cli.log" 2>&1 \
-    || { cat "$WORK/compare_cli.log"; fail "mdtrend compare-volume flagged identical summaries"; }
+    || { cat "$WORK/compare_cli.log"; fail "mdgate volume flagged identical summaries"; }
 
 # 4. Serving path: the same stream through a live mdserve /v1/ingest
 # must land on the same fleet aggregate.
@@ -83,6 +83,7 @@ if ! command -v curl >/dev/null 2>&1; then
 fi
 
 LOG="$WORK/mdserve.log"
+: >"$LOG" # exists before the listen-line poll, which runs under set -e
 "$MDSERVE" -addr 127.0.0.1:0 -workload c17 >"$LOG" 2>&1 &
 PID=$!
 ADDR=""
@@ -106,7 +107,7 @@ DEDUPED=$(sed -n 's/.*"deduped":\([0-9]*\).*/\1/p' "$WORK/ingest_reply.json")
     || fail "serve-path dedupe did not bite: $(cat "$WORK/ingest_reply.json")"
 
 curl -s "$URL/v1/volume/summary?workload=c17" >"$WORK/summary_serve.json"
-"$MDTREND" compare-volume "$WORK/summary_j4.json" "$WORK/summary_serve.json" \
+"$MDGATE" volume "$WORK/summary_j4.json" "$WORK/summary_serve.json" \
     >"$WORK/compare_serve.log" 2>&1 \
     || { cat "$WORK/compare_serve.log"; fail "serve-path aggregate diverges from the CLI aggregate"; }
 
