@@ -18,7 +18,9 @@
 //     do).
 //
 // All three consume the same inputs as core.Diagnose and report the same
-// candidate shape, so the experiment harness scores them identically.
+// candidate shape, so the experiment harness scores them identically. SLAT
+// and Intersection take their suspects from core's own extraction
+// (core.Seeds), so a comparison isolates the assumption, not the front end.
 package baseline
 
 import (
@@ -27,9 +29,9 @@ import (
 	"time"
 
 	"multidiag/internal/bitset"
+	"multidiag/internal/core"
 	"multidiag/internal/fault"
 	"multidiag/internal/fsim"
-	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
 	"multidiag/internal/obs"
 	"multidiag/internal/sim"
@@ -73,52 +75,6 @@ func (r *Result) Nets() [][]netlist.NetID {
 	return out
 }
 
-// candidateSeeds extracts per-failing-output stuck-at hypotheses via CPT —
-// the same effect-cause front end the core engine uses, so baseline
-// comparisons isolate the *assumption* differences, not the extraction.
-func candidateSeeds(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) ([]fault.StuckAt, error) {
-	cpt := fsim.NewCPT(c)
-	seen := make(map[fault.StuckAt]bool)
-	var out []fault.StuckAt
-	for _, p := range log.FailingPatterns() {
-		ok := true
-		for _, v := range pats[p] {
-			if !v.IsKnown() {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		pos := make([]netlist.NetID, 0, log.Fails[p].Count())
-		for _, poIdx := range log.Fails[p].Members() {
-			pos = append(pos, c.POs[poIdx])
-		}
-		union, _, vals, err := cpt.CriticalForOutputs(pats[p], pos)
-		if err != nil {
-			return nil, err
-		}
-		for id, cr := range union {
-			if !cr || !vals[id].IsKnown() {
-				continue
-			}
-			f := fault.StuckAt{Net: netlist.NetID(id), Value1: vals[id] == logic.Zero}
-			if !seen[f] {
-				seen[f] = true
-				out = append(out, f)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Net != out[j].Net {
-			return out[i].Net < out[j].Net
-		}
-		return !out[i].Value1 && out[j].Value1
-	})
-	return out, nil
-}
-
 // SLAT runs Single-Location-At-a-Time diagnosis.
 //
 // A failing pattern is a SLAT pattern when at least one single stuck-at
@@ -139,7 +95,7 @@ func SLAT(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, maxMultip
 	if len(failing) == 0 {
 		return res, nil
 	}
-	seeds, err := candidateSeeds(c, pats, log)
+	seeds, err := core.Seeds(c, pats, log)
 	if err != nil {
 		return nil, err
 	}
@@ -220,33 +176,23 @@ func Intersection(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) (
 	if len(failing) == 0 {
 		return res, nil
 	}
-	cpt := fsim.NewCPT(c)
 	var global map[fault.StuckAt]bool
 	for _, p := range failing {
-		determinate := true
-		for _, v := range pats[p] {
-			if !v.IsKnown() {
-				determinate = false
-				break
-			}
-		}
-		if !determinate {
-			continue
-		}
-		local := make(map[fault.StuckAt]bool)
-		pos := make([]netlist.NetID, 0, log.Fails[p].Count())
-		for _, poIdx := range log.Fails[p].Members() {
-			pos = append(pos, c.POs[poIdx])
-		}
-		union, _, vals, err := cpt.CriticalForOutputs(pats[p], pos)
+		// One failing pattern's suspects: core's extraction over a datalog
+		// holding that pattern alone. Patterns with X inputs yield none
+		// (a determinate failing pattern always yields its failing outputs)
+		// and are skipped rather than emptying the intersection.
+		one := &tester.Datalog{NumPatterns: log.NumPatterns, NumPOs: log.NumPOs, Fails: map[int]bitset.Set{p: log.Fails[p]}}
+		seeds, err := core.Seeds(c, pats, one)
 		if err != nil {
 			return nil, err
 		}
-		for id, cr := range union {
-			if !cr || !vals[id].IsKnown() {
-				continue
-			}
-			local[fault.StuckAt{Net: netlist.NetID(id), Value1: vals[id] == logic.Zero}] = true
+		if len(seeds) == 0 {
+			continue
+		}
+		local := make(map[fault.StuckAt]bool, len(seeds))
+		for _, f := range seeds {
+			local[f] = true
 		}
 		if global == nil {
 			global = local

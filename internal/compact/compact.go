@@ -9,8 +9,8 @@
 //
 // The package provides the compactor model (XOR parity network with
 // X-compact-style distinct signatures per PO), datalog compression, and a
-// diagnosis engine that mirrors the core effect-cause flow but scores and
-// covers evidence in compressed-output space. Experiment T9 measures how
+// diagnosis entry point that runs the core effect-cause pipeline with
+// evidence in compressed-output space. Experiment T9 measures how
 // much localization survives 2:1 … 8:1 compaction.
 package compact
 
@@ -18,12 +18,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"multidiag/internal/bitset"
-	"multidiag/internal/fault"
+	"multidiag/internal/core"
 	"multidiag/internal/fsim"
-	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
 	"multidiag/internal/obs"
 	"multidiag/internal/sim"
@@ -129,48 +127,25 @@ func (cp *Compactor) CompressDatalog(d *tester.Datalog) *tester.Datalog {
 	return out
 }
 
-// Candidate is a compressed-space suspect.
-type Candidate struct {
-	Fault      fault.StuckAt
-	Equivalent []fault.StuckAt
-	Covered    bitset.Set
-	TFSF, TPSF int
-}
-
-// Result is the compressed-space diagnosis outcome.
-type Result struct {
-	Multiplet   []*Candidate
-	Ranked      []*Candidate
-	Evidence    int
-	Unexplained int
-	Elapsed     time.Duration
-}
-
-// MultipletNets adapts to the metrics package.
-func (r *Result) MultipletNets() [][]netlist.NetID {
-	out := make([][]netlist.NetID, len(r.Multiplet))
-	for i, cd := range r.Multiplet {
-		nets := []netlist.NetID{cd.Fault.Net}
-		for _, e := range cd.Equivalent {
-			nets = append(nets, e.Net)
-		}
-		out[i] = nets
-	}
-	return out
-}
-
-// Diagnose locates defects from a *compressed* datalog. The flow mirrors
-// the core engine with two compaction-specific twists:
+// Diagnose locates defects from a *compressed* datalog with the core
+// engine's pipeline, changed only where the compactor sits:
 //
 //   - extraction back-traces from every PO feeding a failing compressed
 //     output (the compactor cannot tell which member PO failed, so all
 //     members are effect-cause roots);
-//   - candidate syndromes are pushed through the compactor before being
-//     matched against the evidence, so aliasing affects prediction and
-//     observation identically.
-func Diagnose(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cp *Compactor, lambda float64, maxMultiplet int) (*Result, error) {
-	res := &Result{}
-	defer obs.Global().Span("compact.diagnose").EndInto(&res.Elapsed)
+//   - candidate syndromes are pushed through the compactor before they are
+//     scored, so aliasing affects prediction and observation identically
+//     (a pattern whose predicted errors all cancel passes).
+//
+// Scoring, equivalence classes, the greedy cover and the ranking are
+// core.Select's; evidence bits are (pattern, compressed output) pairs.
+func Diagnose(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cp *Compactor, lambda float64, maxMultiplet int) (res *core.Result, err error) {
+	sp := obs.Global().Span("compact.diagnose")
+	defer func() {
+		if d := sp.End(); res != nil {
+			res.Elapsed = d
+		}
+	}()
 	if log.NumPatterns != len(pats) {
 		return nil, fmt.Errorf("compact: datalog has %d patterns, test set has %d", log.NumPatterns, len(pats))
 	}
@@ -180,161 +155,38 @@ func Diagnose(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cp *C
 	if cp.NumPOs != len(c.POs) {
 		return nil, fmt.Errorf("compact: compactor has %d POs, circuit has %d", cp.NumPOs, len(c.POs))
 	}
-	if lambda == 0 {
-		lambda = 0.3
-	}
-	if maxMultiplet <= 0 {
-		maxMultiplet = 10
-	}
-	failing := log.FailingPatterns()
-	if len(failing) == 0 {
-		return res, nil
-	}
-	type evBit struct{ pattern, out int }
-	evIndex := map[evBit]int{}
-	for _, p := range failing {
-		for _, o := range log.Fails[p].Members() {
-			evIndex[evBit{p, o}] = res.Evidence
-			res.Evidence++
-		}
-	}
-
-	// Extraction: CPT from every member PO of every failing compressed
-	// output.
-	cpt := fsim.NewCPT(c)
-	seen := map[fault.StuckAt]bool{}
-	var seeds []fault.StuckAt
-	for _, p := range failing {
-		determinate := true
-		for _, v := range pats[p] {
-			if !v.IsKnown() {
-				determinate = false
-				break
-			}
-		}
-		if !determinate {
-			continue
-		}
-		poSet := map[int]bool{}
-		for _, o := range log.Fails[p].Members() {
+	poLog := &tester.Datalog{NumPatterns: log.NumPatterns, NumPOs: cp.NumPOs, Fails: make(map[int]bitset.Set, len(log.Fails))}
+	for p, outs := range log.Fails {
+		pos := bitset.New(cp.NumPOs)
+		for _, o := range outs.Members() {
 			for _, po := range cp.Assign[o] {
-				poSet[po] = true
+				pos.Add(po)
 			}
 		}
-		pos := make([]netlist.NetID, 0, len(poSet))
-		for po := range poSet {
-			pos = append(pos, c.POs[po])
-		}
-		sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-		union, _, vals, err := cpt.CriticalForOutputs(pats[p], pos)
-		if err != nil {
-			return nil, err
-		}
-		for id, cr := range union {
-			if !cr || !vals[id].IsKnown() {
-				continue
-			}
-			f := fault.StuckAt{Net: netlist.NetID(id), Value1: vals[id] == logic.Zero}
-			if !seen[f] {
-				seen[f] = true
-				seeds = append(seeds, f)
-			}
-		}
+		poLog.Fails[p] = pos
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		if seeds[i].Net != seeds[j].Net {
-			return seeds[i].Net < seeds[j].Net
-		}
-		return !seeds[i].Value1 && seeds[j].Value1
-	})
-
-	// Scoring through the compactor, with equivalence-class merging.
+	seeds, err := core.Seeds(c, pats, poLog)
+	if err != nil {
+		return nil, err
+	}
 	fs, err := fsim.NewFaultSim(c, pats)
 	if err != nil {
 		return nil, err
 	}
-	classes := map[string]*Candidate{}
-	var cands []*Candidate
-	for _, f := range seeds {
-		syn := fs.SimulateStuckAt(f)
-		cd := &Candidate{Fault: f, Covered: bitset.New(res.Evidence)}
-		sig := ""
-		for p := 0; p < syn.NumPatterns; p++ {
-			if syn.Fails[p] == nil || syn.Fails[p].Empty() {
+	syns := make([]*fsim.Syndrome, len(seeds))
+	for i, f := range seeds {
+		raw := fs.SimulateStuckAt(f)
+		syn := fsim.NewSyndrome(raw.NumPatterns, cp.NumOut)
+		for p, fails := range raw.Fails {
+			if fails == nil {
 				continue
 			}
-			comp := cp.CompressFails(syn.Fails[p])
-			if comp.Empty() {
-				continue // fully aliased prediction
-			}
-			sig += fmt.Sprintf("%d:%s;", p, comp.String())
-			for _, o := range comp.Members() {
-				if idx, ok := evIndex[evBit{p, o}]; ok {
-					cd.Covered.Add(idx)
-				} else {
-					cd.TPSF++
-				}
+			if comp := cp.CompressFails(fails); !comp.Empty() {
+				syn.Fails[p] = comp
 			}
 		}
-		cd.TFSF = cd.Covered.Count()
-		if cd.TFSF == 0 {
-			continue
-		}
-		if rep, ok := classes[sig]; ok {
-			rep.Equivalent = append(rep.Equivalent, f)
-			continue
-		}
-		classes[sig] = cd
-		cands = append(cands, cd)
+		fs.ReleaseSyndrome(raw)
+		syns[i] = syn
 	}
-
-	// Greedy cover (identical policy to the core engine).
-	remaining := bitset.New(res.Evidence)
-	for i := 0; i < res.Evidence; i++ {
-		remaining.Add(i)
-	}
-	used := map[*Candidate]bool{}
-	for len(res.Multiplet) < maxMultiplet && !remaining.Empty() {
-		var best *Candidate
-		bestGain := 0.0
-		bestCov := 0
-		for _, cd := range cands {
-			if used[cd] {
-				continue
-			}
-			cov := cd.Covered.IntersectCount(remaining)
-			if cov == 0 {
-				continue
-			}
-			gain := float64(cov) - lambda*float64(cd.TPSF)
-			if best == nil || gain > bestGain ||
-				(gain == bestGain && (cov > bestCov || (cov == bestCov && cd.Fault.Net < best.Fault.Net))) {
-				best, bestGain, bestCov = cd, gain, cov
-			}
-		}
-		if best == nil {
-			break
-		}
-		used[best] = true
-		res.Multiplet = append(res.Multiplet, best)
-		remaining.SubtractWith(best.Covered)
-	}
-	res.Unexplained = remaining.Count()
-	rest := make([]*Candidate, 0, len(cands))
-	for _, cd := range cands {
-		if !used[cd] {
-			rest = append(rest, cd)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].TFSF != rest[j].TFSF {
-			return rest[i].TFSF > rest[j].TFSF
-		}
-		if rest[i].TPSF != rest[j].TPSF {
-			return rest[i].TPSF < rest[j].TPSF
-		}
-		return rest[i].Fault.Net < rest[j].Fault.Net
-	})
-	res.Ranked = append(append([]*Candidate{}, res.Multiplet...), rest...)
-	return res, nil
+	return core.Select(c, seeds, syns, log, core.Config{Lambda: lambda, MaxMultipletSize: maxMultiplet}), nil
 }

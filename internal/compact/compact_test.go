@@ -1,11 +1,14 @@
 package compact
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"multidiag/internal/atpg"
 	"multidiag/internal/bitset"
 	"multidiag/internal/circuits"
+	"multidiag/internal/core"
 	"multidiag/internal/defect"
 	"multidiag/internal/metrics"
 	"multidiag/internal/netlist"
@@ -99,7 +102,7 @@ func TestCompressDatalog(t *testing.T) {
 
 // diagnoseCompressed is the end-to-end helper: inject, test, compress,
 // diagnose in compressed space, score at radius 1.
-func diagnoseCompressed(t *testing.T, c *netlist.Circuit, ratio int, ds []defect.Defect, seed int64) (metrics.Score, *Result, bool) {
+func diagnoseCompressed(t *testing.T, c *netlist.Circuit, ratio int, ds []defect.Defect, seed int64) (metrics.Score, *core.Result, bool) {
 	t.Helper()
 	tests, err := atpg.Generate(c, atpg.Config{Seed: 5})
 	if err != nil {
@@ -216,9 +219,74 @@ func TestAliasingLosesButDoesNotLie(t *testing.T) {
 		if !active || res == nil {
 			continue
 		}
-		if len(res.Multiplet) > 0 && res.Unexplained > res.Evidence/2 {
+		if len(res.Multiplet) > 0 && res.UnexplainedBits > len(res.Evidence)/2 {
 			t.Errorf("seed %d: more than half the evidence unexplained (%d/%d)",
-				seed, res.Unexplained, res.Evidence)
+				seed, res.UnexplainedBits, len(res.Evidence))
 		}
+	}
+}
+
+// TestIdentityCompactorMatchesCore pins the shared pipeline: through a
+// compactor that passes every PO to its own output, compressed-space
+// diagnosis sees exactly the PO datalog, so its ranking — names,
+// equivalence classes, TFSF and TPSF — must equal core.Diagnose's with
+// refinement and the X-check off.
+func TestIdentityCompactorMatchesCore(t *testing.T) {
+	c, err := circuits.Generate(circuits.GenConfig{Seed: 12, NumPIs: 16, NumGates: 300, NumPOs: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests, err := atpg.Generate(c, atpg.Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := &Compactor{NumPOs: len(c.POs), NumOut: len(c.POs)}
+	for po := range c.POs {
+		id.Assign = append(id.Assign, []int{po})
+		id.poOuts = append(id.poOuts, []int{po})
+	}
+	render := func(res *core.Result) []string {
+		var out []string
+		for _, cd := range res.Ranked {
+			line := fmt.Sprintf("%s TFSF=%d TPSF=%d", cd.Name(c), cd.TFSF, cd.TPSF)
+			for _, e := range cd.Equivalent {
+				line += " ≡ " + e.Name(c)
+			}
+			out = append(out, line)
+		}
+		return append(out, fmt.Sprintf("multiplet=%d evidence=%d unexplained=%d", len(res.Multiplet), len(res.Evidence), res.UnexplainedBits))
+	}
+	devices := 0
+	for seed := int64(0); devices < 12 && seed < 60; seed++ {
+		ds, err := defect.Sample(c, defect.CampaignConfig{Seed: seed, NumDefects: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := defect.Inject(c, ds)
+		if err != nil {
+			continue
+		}
+		log, err := tester.ApplyTest(c, dev, tests.Patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log.Fails) == 0 {
+			continue
+		}
+		devices++
+		want, err := core.Diagnose(c, tests.Patterns, log, core.Config{DisableBridgeSearch: true, DisableXConsistency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Diagnose(c, tests.Patterns, id.CompressDatalog(log), id, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := strings.Join(render(got), "\n"), strings.Join(render(want), "\n"); g != w {
+			t.Fatalf("seed %d: identity-compacted diagnosis differs from core\n got:\n%s\nwant:\n%s", seed, g, w)
+		}
+	}
+	if devices < 12 {
+		t.Fatalf("only %d activated devices", devices)
 	}
 }

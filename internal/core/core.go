@@ -380,6 +380,44 @@ func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, lo
 	return res, nil
 }
 
+// Seeds runs the effect-cause front end alone: exact critical path tracing
+// of every observed failing output of every fully determinate failing
+// pattern, returning the stuck-at-complement hypotheses sorted by (net,
+// polarity). It is Diagnose's extraction on one worker with no recorder,
+// for engines that keep the front end but change what follows it.
+func Seeds(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) ([]fault.StuckAt, error) {
+	return extractCandidates(context.Background(), c, fsim.NewCPT(c), pats, log, false, 1, nil)
+}
+
+// Select is the back half of the pipeline over syndromes the caller
+// simulated: syns[i] is the predicted behaviour of seeds[i] in the
+// datalog's observation space. It indexes the datalog's failing bits,
+// folds the syndromes in seed order into equivalence-class candidates,
+// runs the greedy per-output cover and ranks the rest, exactly as
+// Diagnose does. Engines that observe the circuit through another
+// encoding (compacted outputs, two-pattern delay tests) simulate their
+// own syndromes and share this back half with the core engine.
+//
+// Select has no refinement and no X-check, so Consistent only says
+// whether a multiplet was found, as in Diagnose with both disabled.
+// Config.Explain is ignored, as in DiagnoseBatch.
+func Select(c *netlist.Circuit, seeds []fault.StuckAt, syns []*fsim.Syndrome, log *tester.Datalog, cfg Config) *Result {
+	cfg.fill()
+	res := &Result{Consistent: true, CandidatesExtracted: len(seeds)}
+	failing := log.FailingPatterns()
+	if len(failing) == 0 {
+		return res
+	}
+	evIndex := indexEvidence(res, log, failing, cfg.Trace.Registry())
+	cands := scoreCandidates(c, syns, seeds, log, evIndex, len(res.Evidence), cfg, nil)
+	multiplet, uncovered := cover(c, cands, len(res.Evidence), cfg, nil)
+	res.Multiplet = multiplet
+	res.UnexplainedBits = uncovered.Count()
+	res.Consistent = len(multiplet) > 0
+	res.Ranked = rank(multiplet, cands)
+	return res
+}
+
 // checkShape rejects a datalog recorded against a different test set or
 // circuit.
 func checkShape(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) error {
@@ -495,8 +533,14 @@ func finishDiagnosis(ctx context.Context, root prof.Phase, c *netlist.Circuit, f
 		}
 	}
 
-	// Final ranking: multiplet members first (selection order), then the
-	// rest by (TFSF desc, TPSF asc, net id).
+	res.Ranked = rank(multiplet, cands)
+	return nil
+}
+
+// rank orders every scored candidate for the report: multiplet members
+// first (selection order), then the rest by (TFSF desc, TPSF asc, net id,
+// stuck-at-0 first).
+func rank(multiplet, cands []*Candidate) []*Candidate {
 	inMult := map[*Candidate]bool{}
 	for _, m := range multiplet {
 		inMult[m] = true
@@ -519,8 +563,7 @@ func finishDiagnosis(ctx context.Context, root prof.Phase, c *netlist.Circuit, f
 		}
 		return !rest[i].Fault.Value1
 	})
-	res.Ranked = append(append([]*Candidate{}, multiplet...), rest...)
-	return nil
+	return append(append([]*Candidate{}, multiplet...), rest...)
 }
 
 // extractJob is one failing pattern's back-trace work item.

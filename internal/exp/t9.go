@@ -8,7 +8,6 @@ import (
 	"multidiag/internal/defect"
 	"multidiag/internal/metrics"
 	"multidiag/internal/report"
-	"multidiag/internal/tester"
 )
 
 // T9Compaction measures diagnosis under test-response compaction
@@ -63,7 +62,7 @@ func T9Compaction(w io.Writer, o Options) error {
 			var agg metrics.Aggregate
 			activated := 0
 			for _, dev := range devs {
-				clog := cp.CompressDatalog(datalogOf(dev.log))
+				clog := cp.CompressDatalog(dev.log)
 				if len(clog.Fails) == 0 {
 					continue // fully aliased: test escape under compaction
 				}
@@ -98,7 +97,3 @@ func T9Compaction(w io.Writer, o Options) error {
 func ratioLabel(r int) string {
 	return map[int]string{2: "2:1 X-compact", 4: "4:1 X-compact", 8: "8:1 X-compact"}[r]
 }
-
-// datalogOf returns the device datalog (helper keeps the device struct
-// private to the package).
-func datalogOf(d *tester.Datalog) *tester.Datalog { return d }

@@ -6,8 +6,8 @@
 // parallel engine. The arenas here recycle all three:
 //
 //   - syndromes and their failing-output bitsets cycle through a
-//     mutex-guarded free list owned by the root simulator
-//     (AcquireSyndrome / ReleaseSyndrome), so a chunked scoring pass
+//     mutex-guarded free list owned by the root simulator (simulations
+//     acquire, ReleaseSyndrome recycles), so a chunked scoring pass
 //     keeps only O(workers × chunk) syndromes live instead of
 //     O(candidates);
 //   - forked worker simulators cycle through a free list on the root
@@ -95,12 +95,6 @@ func (a *synArena) failSet(s *Syndrome) bitset.Set {
 	}
 	return bitset.New(a.pos)
 }
-
-// AcquireSyndrome returns a pooled all-passing syndrome shaped for this
-// simulator's workload. Release it with ReleaseSyndrome once every reader
-// is done; syndromes that escape (reports, dictionaries) may simply be
-// dropped for the GC instead.
-func (fs *FaultSim) AcquireSyndrome() *Syndrome { return fs.arena.acquire() }
 
 // ReleaseSyndrome recycles a syndrome produced by this simulator (or any
 // of its forks) back into the shared arena. The caller must not touch the

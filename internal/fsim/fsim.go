@@ -216,9 +216,6 @@ func (fs *FaultSim) GoodWord(id netlist.NetID, w int) logic.PV64 {
 	return fs.words[w][id]
 }
 
-// NumWords returns the number of packed pattern words.
-func (fs *FaultSim) NumWords() int { return fs.nWords }
-
 // PIWord returns the packed primary-input vector for pattern word w
 // (shared storage — callers must not mutate). Re-simulation passes — the
 // bridge refinement sweep, X-propagation — reuse these instead of

@@ -77,7 +77,7 @@ func (ps *PFSFP) DetectBatch(p sim.Pattern, faults []fault.StuckAt) ([]bitsetLit
 		if g.Type == netlist.Input {
 			continue
 		}
-		v := evalPackedVia(g.Type, g.Fanin, func(n netlist.NetID) logic.PV64 { return ps.vals[n] })
+		v := sim.EvalPacked(g.Type, g.Fanin, ps.vals)
 		if o, ok := overrides[id]; ok {
 			v = applyOverride(v, o.setOne, o.setZero)
 		}
@@ -110,46 +110,6 @@ func (ps *PFSFP) DetectBatch(p sim.Pattern, faults []fault.StuckAt) ([]bitsetLit
 // bitsetLite is a tiny failing-PO index list (names avoid a bitset alloc
 // per fault per pattern in the grading loop).
 type bitsetLite []int
-
-// evalPackedVia evaluates one gate on packed values fetched through get.
-// The PPSFP hot path uses the closure-free evalPackedCone instead; this
-// form remains for PFSFP, where values come from a single slot array.
-func evalPackedVia(t netlist.GateType, fanin []netlist.NetID, get func(netlist.NetID) logic.PV64) logic.PV64 {
-	switch t {
-	case netlist.Buf:
-		return get(fanin[0])
-	case netlist.Not:
-		return get(fanin[0]).Not()
-	case netlist.And, netlist.Nand:
-		acc := get(fanin[0])
-		for _, f := range fanin[1:] {
-			acc = acc.And(get(f))
-		}
-		if t == netlist.Nand {
-			acc = acc.Not()
-		}
-		return acc
-	case netlist.Or, netlist.Nor:
-		acc := get(fanin[0])
-		for _, f := range fanin[1:] {
-			acc = acc.Or(get(f))
-		}
-		if t == netlist.Nor {
-			acc = acc.Not()
-		}
-		return acc
-	case netlist.Xor, netlist.Xnor:
-		acc := get(fanin[0])
-		for _, f := range fanin[1:] {
-			acc = acc.Xor(get(f))
-		}
-		if t == netlist.Xnor {
-			acc = acc.Not()
-		}
-		return acc
-	}
-	return logic.PVX
-}
 
 func applyOverride(v logic.PV64, setOne, setZero uint64) logic.PV64 {
 	// Force slots in setOne to 1 and setZero to 0 without touching others.

@@ -61,7 +61,7 @@ type RunResult struct {
 // so the cache-delta diff compares a cold replay against the service's
 // warm steady state.
 func Run(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, b *incident.Bundle, workers int) (*RunResult, error) {
-	log, err := tester.ReadDatalog(strings.NewReader(b.Datalog))
+	log, err := tester.ReadDatalogFor(strings.NewReader(b.Datalog), len(pats), len(c.POs))
 	if err != nil {
 		return nil, fmt.Errorf("replay: bundle datalog: %w", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"multidiag/internal/obs"
 	"multidiag/internal/sim"
 	"multidiag/internal/tester"
+	"multidiag/internal/volume"
 )
 
 // testWorkload is the c17 fixture every serve test registers: small
@@ -140,9 +141,9 @@ func TestGoldenReportMatchesCLI(t *testing.T) {
 	}
 
 	// Structured request body mirroring the datalog.
-	var fails []PatternFails
+	var fails []volume.PatternFails
 	for _, p := range log.FailingPatterns() {
-		fails = append(fails, PatternFails{Pattern: p, POs: log.Fails[p].Members()})
+		fails = append(fails, volume.PatternFails{Pattern: p, POs: log.Fails[p].Members()})
 	}
 
 	for name, req := range map[string]DiagnoseRequest{
@@ -204,9 +205,9 @@ func TestRequestValidation(t *testing.T) {
 		"no-behaviour":     {DiagnoseRequest{Workload: "c17"}, http.StatusBadRequest},
 		"both-forms":       {DiagnoseRequest{Workload: "c17", Datalog: text, Response: &DeviceResponse{}}, http.StatusBadRequest},
 		"bad-pattern": {DiagnoseRequest{Workload: "c17",
-			Response: &DeviceResponse{Fails: []PatternFails{{Pattern: 99, POs: []int{0}}}}}, http.StatusBadRequest},
+			Response: &DeviceResponse{Fails: []volume.PatternFails{{Pattern: 99, POs: []int{0}}}}}, http.StatusBadRequest},
 		"bad-po": {DiagnoseRequest{Workload: "c17",
-			Response: &DeviceResponse{Fails: []PatternFails{{Pattern: 0, POs: []int{7}}}}}, http.StatusBadRequest},
+			Response: &DeviceResponse{Fails: []volume.PatternFails{{Pattern: 0, POs: []int{7}}}}}, http.StatusBadRequest},
 	} {
 		resp, body := postJSON(t, hs.URL+"/v1/diagnose", tc.req)
 		if resp.StatusCode != tc.want {

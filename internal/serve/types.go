@@ -16,9 +16,7 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"multidiag/internal/bitset"
 	"multidiag/internal/core"
 	"multidiag/internal/netlist"
 	"multidiag/internal/tester"
@@ -47,14 +45,7 @@ type DiagnoseRequest struct {
 
 // DeviceResponse lists the failing (pattern, outputs) observations.
 type DeviceResponse struct {
-	Fails []PatternFails `json:"fails"`
-}
-
-// PatternFails is one failing pattern and its failing primary outputs
-// (indices into the circuit's PO list).
-type PatternFails struct {
-	Pattern int   `json:"pattern"`
-	POs     []int `json:"pos"`
+	Fails []volume.PatternFails `json:"fails"`
 }
 
 // BatchRequest is the POST /v1/diagnose/batch body: several devices of
@@ -107,14 +98,6 @@ type Report struct {
 	Explain   string `json:"explain,omitempty"`
 }
 
-// CandidateReport and ModelReport are the shared wire forms (moved to
-// internal/volume with the deterministic report core; aliased so serve
-// callers keep compiling).
-type CandidateReport = volume.CandidateReport
-
-// ModelReport is one fault-model assignment in wire form.
-type ModelReport = volume.ModelReport
-
 // BuildReport converts a core result into its wire form. It is exported
 // so the golden tests can build the expected report from a direct
 // core.Diagnose and require byte equality with the served one.
@@ -126,56 +109,23 @@ func BuildReport(workload string, c *netlist.Circuit, log *tester.Datalog, res *
 }
 
 // buildDatalog materializes a request's device behaviour as a tester
-// datalog shaped for the workload, validating bounds so a malformed
-// request fails the admission check (400) instead of the engine.
+// datalog shaped for the workload. Once the request is known to carry
+// exactly one of the two forms, it is volume's record builder, so a
+// request and an ingested record with the same behaviour build the same
+// datalog, and a malformed request fails the admission check (400)
+// instead of the engine.
 func buildDatalog(c *netlist.Circuit, numPatterns int, text string, resp *DeviceResponse) (*tester.Datalog, error) {
 	switch {
 	case text != "" && resp != nil:
 		return nil, fmt.Errorf("request carries both datalog text and structured response")
-	case text != "":
-		log, err := tester.ReadDatalog(strings.NewReader(text))
-		if err != nil {
-			return nil, fmt.Errorf("datalog: %w", err)
-		}
-		if log.NumPatterns != numPatterns {
-			return nil, fmt.Errorf("datalog has %d patterns, workload has %d", log.NumPatterns, numPatterns)
-		}
-		if log.NumPOs != len(c.POs) {
-			return nil, fmt.Errorf("datalog has %d POs, workload has %d", log.NumPOs, len(c.POs))
-		}
-		return log, nil
-	case resp != nil:
-		log := &tester.Datalog{
-			CircuitName: c.Name,
-			NumPatterns: numPatterns,
-			NumPOs:      len(c.POs),
-			Fails:       make(map[int]bitset.Set),
-		}
-		for _, pf := range resp.Fails {
-			if pf.Pattern < 0 || pf.Pattern >= numPatterns {
-				return nil, fmt.Errorf("failing pattern %d out of range [0,%d)", pf.Pattern, numPatterns)
-			}
-			set, ok := log.Fails[pf.Pattern]
-			if !ok {
-				set = bitset.New(len(c.POs))
-				log.Fails[pf.Pattern] = set
-			}
-			for _, po := range pf.POs {
-				if po < 0 || po >= len(c.POs) {
-					return nil, fmt.Errorf("pattern %d: failing PO %d out of range [0,%d)", pf.Pattern, po, len(c.POs))
-				}
-				set.Add(po)
-			}
-		}
-		for p, set := range log.Fails {
-			if set.Empty() {
-				delete(log.Fails, p)
-			}
-		}
-		return log, nil
-	default:
+	case text == "" && resp == nil:
 		return nil, fmt.Errorf("request carries neither datalog text nor structured response")
 	}
+	rec := volume.Record{Datalog: text}
+	if resp != nil {
+		rec.Fails = resp.Fails
+	}
+	return rec.BuildDatalog(c, numPatterns)
 }
 
 // WorkloadInfo is one GET /v1/workloads entry.

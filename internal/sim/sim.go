@@ -109,7 +109,7 @@ func (s *Simulator) Run(piVals []logic.PV64) error {
 		if g.Type == netlist.Input {
 			continue
 		}
-		s.vals[id] = evalPacked(g.Type, g.Fanin, s.vals)
+		s.vals[id] = EvalPacked(g.Type, g.Fanin, s.vals)
 	}
 	return nil
 }
@@ -135,7 +135,7 @@ func (s *Simulator) RunWithOverrides(piVals []logic.PV64, force map[netlist.NetI
 		if g.Type == netlist.Input {
 			continue
 		}
-		v := evalPacked(g.Type, g.Fanin, s.vals)
+		v := EvalPacked(g.Type, g.Fanin, s.vals)
 		if fv, ok := force[id]; ok {
 			v = fv
 		}
@@ -161,8 +161,9 @@ func (s *Simulator) POValues() []logic.PV64 {
 	return out
 }
 
-// evalPacked evaluates one gate over packed inputs.
-func evalPacked(t netlist.GateType, fanin []netlist.NetID, vals []logic.PV64) logic.PV64 {
+// EvalPacked evaluates one gate over packed inputs, reading each fan-in
+// net's value from vals (indexed by NetID).
+func EvalPacked(t netlist.GateType, fanin []netlist.NetID, vals []logic.PV64) logic.PV64 {
 	switch t {
 	case netlist.Buf:
 		return vals[fanin[0]]

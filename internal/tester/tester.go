@@ -194,8 +194,21 @@ func WriteDatalog(w io.Writer, d *Datalog) error {
 	return bw.Flush()
 }
 
-// ReadDatalog parses the WriteDatalog format.
-func ReadDatalog(r io.Reader) (*Datalog, error) {
+// maxCount bounds the patterns and pos declarations. The parser allocates
+// one pos-wide fail set per failing pattern, so an absurd declaration must
+// fail here rather than panic in make or exhaust memory.
+const maxCount = 1 << 20
+
+// ReadDatalog parses the WriteDatalog format. The patterns and pos
+// declarations are required, appear once each and must lie in [1, 2^20];
+// repeated fail lines for one pattern union their POs.
+func ReadDatalog(r io.Reader) (*Datalog, error) { return ReadDatalogFor(r, 0, 0) }
+
+// ReadDatalogFor is ReadDatalog for a known workload: a patterns or pos
+// declaration that disagrees with numPatterns or numPOs fails at its line,
+// before any fail set is allocated, so an untrusted datalog costs at most
+// the workload's width per failing pattern. A zero count is not checked.
+func ReadDatalogFor(r io.Reader, numPatterns, numPOs int) (*Datalog, error) {
 	d := &Datalog{Fails: make(map[int]bitset.Set)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
@@ -222,15 +235,24 @@ func ReadDatalog(r io.Reader) (*Datalog, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tester: line %d: %v", line, err)
 			}
-			switch fields[0] {
-			case "patterns":
-				d.NumPatterns = n
-			case "pos":
-				d.NumPOs = n
-			case "truncated":
+			if fields[0] == "truncated" {
 				d.Truncated = true
 				d.TruncatedAfter = n
+				continue
 			}
+			count, want := &d.NumPatterns, numPatterns
+			if fields[0] == "pos" {
+				count, want = &d.NumPOs, numPOs
+			}
+			switch {
+			case *count != 0:
+				return nil, fmt.Errorf("tester: line %d: %s declared twice", line, fields[0])
+			case n < 1 || n > maxCount:
+				return nil, fmt.Errorf("tester: line %d: %s %d out of range [1,%d]", line, fields[0], n, maxCount)
+			case want != 0 && n != want:
+				return nil, fmt.Errorf("tester: line %d: %s %d, workload has %d", line, fields[0], n, want)
+			}
+			*count = n
 		case "fail":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("tester: line %d: fail needs pattern and ≥1 PO", line)
@@ -242,7 +264,11 @@ func ReadDatalog(r io.Reader) (*Datalog, error) {
 			if err != nil || p < 0 || p >= d.NumPatterns {
 				return nil, fmt.Errorf("tester: line %d: bad pattern index %q", line, fields[1])
 			}
-			set := bitset.New(d.NumPOs)
+			set := d.Fails[p]
+			if set == nil {
+				set = bitset.New(d.NumPOs)
+				d.Fails[p] = set
+			}
 			for _, f := range fields[2:] {
 				po, err := strconv.Atoi(f)
 				if err != nil || po < 0 || po >= d.NumPOs {
@@ -250,7 +276,6 @@ func ReadDatalog(r io.Reader) (*Datalog, error) {
 				}
 				set.Add(po)
 			}
-			d.Fails[p] = set
 		default:
 			return nil, fmt.Errorf("tester: line %d: unknown directive %q", line, fields[0])
 		}
@@ -260,6 +285,9 @@ func ReadDatalog(r io.Reader) (*Datalog, error) {
 	}
 	if d.NumPatterns == 0 {
 		return nil, fmt.Errorf("tester: datalog missing patterns declaration")
+	}
+	if d.NumPOs == 0 {
+		return nil, fmt.Errorf("tester: datalog missing pos declaration")
 	}
 	return d, nil
 }

@@ -185,6 +185,13 @@ func TestReadDatalogErrors(t *testing.T) {
 		"short fail":      "patterns 4\npos 2\nfail 0\n",
 		"non-numeric":     "patterns x\n",
 		"empty":           "",
+		// A width past the bound used to panic in make on the fail line.
+		"oversized pos":     "patterns 4\npos 9223372036854775807\nfail 0 0\n",
+		"negative patterns": "patterns -1\npos 2\n",
+		"zero pos":          "patterns 4\npos 0\n",
+		"missing pos":       "patterns 4\n",
+		// A second declaration would strand the fails parsed under the first.
+		"patterns twice": "patterns 4\npos 2\nfail 3 0\npatterns 2\n",
 	}
 	for name, src := range cases {
 		if _, err := ReadDatalog(strings.NewReader(src)); err == nil {
@@ -231,4 +238,38 @@ func mustPattern(t *testing.T, s string) sim.Pattern {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestReadDatalogUnionsRepeatedFails: a repeated fail line adds to the
+// pattern's failing POs, as repeated structured fails do, instead of
+// replacing the earlier line's.
+func TestReadDatalogUnionsRepeatedFails(t *testing.T) {
+	d, err := ReadDatalog(strings.NewReader("patterns 4\npos 2\nfail 0 0\nfail 0 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Fails[0].Members(); len(got) != 2 || d.NumFailBits() != 2 {
+		t.Fatalf("pattern 0 fails %v (%d bits), want [0 1]", got, d.NumFailBits())
+	}
+}
+
+// TestReadDatalogForRejectsShape: with the workload known, a disagreeing
+// declaration fails at its own line, before the fail lines after it are
+// read, so a wide declaration allocates nothing.
+func TestReadDatalogForRejectsShape(t *testing.T) {
+	for name, tc := range map[string]struct {
+		src  string
+		line string
+	}{
+		"patterns": {"patterns 5\npos 2\nfail 0 0\n", "line 1"},
+		"pos":      {"patterns 4\npos 1000000\nfail 0 0\nfail 1 0\n", "line 2"},
+	} {
+		_, err := ReadDatalogFor(strings.NewReader(tc.src), 4, 2)
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("%s: err = %v, want an error at %s", name, err, tc.line)
+		}
+	}
+	if _, err := ReadDatalogFor(strings.NewReader("patterns 4\npos 2\nfail 3 1\n"), 4, 2); err != nil {
+		t.Errorf("matching shape rejected: %v", err)
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"multidiag/internal/bitset"
+	"multidiag/internal/core"
 	"multidiag/internal/fault"
 	"multidiag/internal/fsim"
 	"multidiag/internal/logic"
@@ -60,6 +61,9 @@ func (f Fault) launchValue() logic.Value {
 func (f Fault) asStuck() fault.StuckAt {
 	return fault.StuckAt{Net: f.Net, Value1: !f.Rise}
 }
+
+// fromStuck inverts asStuck.
+func fromStuck(s fault.StuckAt) Fault { return Fault{Net: s.Net, Rise: !s.Value1} }
 
 // List enumerates the full transition-fault universe (two per net).
 func List(c *netlist.Circuit) []Fault {
@@ -333,40 +337,28 @@ func (r *Result) MultipletNets() [][]netlist.NetID {
 	return out
 }
 
-// Diagnose locates slow nets from a two-pattern datalog, mirroring the
-// static engine: per-failing-output CPT on the capture pattern extracts
-// transitioning critical nets as candidates; candidates are scored by
-// full-pair simulation; a greedy cover selects the multiplet.
-func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda float64, maxMultiplet int) (*Result, error) {
-	res := &Result{}
-	defer obs.Global().Span("transition.diagnose").EndInto(&res.Elapsed)
+// Diagnose locates slow nets from a two-pattern datalog. Extraction is
+// the delay-specific part: per-failing-output CPT on the capture pattern,
+// keeping only the critical nets that transition between launch and
+// capture, and every candidate's syndrome is its full-pair detection
+// behaviour (Detects). Scoring, equivalence classes, the greedy cover and
+// the ranking are core.Select's, run on the capture-equivalent stuck-at
+// faults.
+func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda float64, maxMultiplet int) (res *Result, err error) {
+	sp := obs.Global().Span("transition.diagnose")
+	defer func() {
+		if d := sp.End(); res != nil {
+			res.Elapsed = d
+		}
+	}()
 	if log.NumPatterns != len(pairs) {
 		return nil, fmt.Errorf("transition: datalog has %d pairs, test set has %d", log.NumPatterns, len(pairs))
 	}
-	if lambda == 0 {
-		lambda = 0.3
-	}
-	if maxMultiplet <= 0 {
-		maxMultiplet = 10
-	}
-	failing := log.FailingPatterns()
-	if len(failing) == 0 {
-		return res, nil
-	}
-	// Evidence index.
-	type evBit struct{ pair, po int }
-	evIndex := map[evBit]int{}
-	for _, p := range failing {
-		for _, po := range log.Fails[p].Members() {
-			evIndex[evBit{p, po}] = res.Evidence
-			res.Evidence++
-		}
-	}
 	// Extraction: transitioning critical nets on failing pairs.
 	cpt := fsim.NewCPT(c)
-	seen := map[Fault]bool{}
-	var seeds []Fault
-	for _, p := range failing {
+	seen := map[fault.StuckAt]bool{}
+	var seeds []fault.StuckAt
+	for _, p := range log.FailingPatterns() {
 		pr := pairs[p]
 		v1, err := sim.EvalScalar(c, pr.Launch, nil)
 		if err != nil {
@@ -388,100 +380,38 @@ func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda floa
 			if !v1[n].IsKnown() || !v2[n].IsKnown() || v1[n] == v2[n] {
 				continue // no transition at the site: a delay cannot explain it
 			}
-			f := Fault{Net: n, Rise: v2[n] == logic.One}
+			f := Fault{Net: n, Rise: v2[n] == logic.One}.asStuck()
 			if !seen[f] {
 				seen[f] = true
 				seeds = append(seeds, f)
 			}
 		}
 	}
+	// (net, stuck-at-0 first) is (net, slow-to-rise first).
 	sort.Slice(seeds, func(i, j int) bool {
 		if seeds[i].Net != seeds[j].Net {
 			return seeds[i].Net < seeds[j].Net
 		}
-		return seeds[i].Rise && !seeds[j].Rise
+		return !seeds[i].Value1 && seeds[j].Value1
 	})
-	// Scoring with equivalence-class merging.
-	classes := map[string]*Candidate{}
-	var cands []*Candidate
-	for _, f := range seeds {
-		cd := &Candidate{Fault: f, Covered: bitset.New(res.Evidence)}
-		sig := ""
+	syns := make([]*fsim.Syndrome, len(seeds))
+	for i, f := range seeds {
+		syns[i] = fsim.NewSyndrome(len(pairs), len(c.POs))
 		for p := range pairs {
-			fails, err := Detects(c, pairs[p], f)
-			if err != nil {
+			if syns[i].Fails[p], err = Detects(c, pairs[p], fromStuck(f)); err != nil {
 				return nil, err
 			}
-			if fails == nil || fails.Empty() {
-				continue
-			}
-			sig += fmt.Sprintf("%d:%s;", p, fails.String())
-			for _, po := range fails.Members() {
-				if idx, ok := evIndex[evBit{p, po}]; ok {
-					cd.Covered.Add(idx)
-				} else {
-					cd.TPSF++
-				}
-			}
-		}
-		cd.TFSF = cd.Covered.Count()
-		if cd.TFSF == 0 {
-			continue
-		}
-		if rep, ok := classes[sig]; ok {
-			rep.Equivalent = append(rep.Equivalent, f)
-			continue
-		}
-		classes[sig] = cd
-		cands = append(cands, cd)
-	}
-	// Greedy cover.
-	remaining := bitset.New(res.Evidence)
-	for i := 0; i < res.Evidence; i++ {
-		remaining.Add(i)
-	}
-	used := map[*Candidate]bool{}
-	for len(res.Multiplet) < maxMultiplet && !remaining.Empty() {
-		var best *Candidate
-		bestGain := 0.0
-		bestCov := 0
-		for _, cd := range cands {
-			if used[cd] {
-				continue
-			}
-			cov := cd.Covered.IntersectCount(remaining)
-			if cov == 0 {
-				continue
-			}
-			gain := float64(cov) - lambda*float64(cd.TPSF)
-			if best == nil || gain > bestGain ||
-				(gain == bestGain && (cov > bestCov || (cov == bestCov && cd.Fault.Net < best.Fault.Net))) {
-				best, bestGain, bestCov = cd, gain, cov
-			}
-		}
-		if best == nil {
-			break
-		}
-		used[best] = true
-		res.Multiplet = append(res.Multiplet, best)
-		remaining.SubtractWith(best.Covered)
-	}
-	res.Unexplained = remaining.Count()
-	rest := make([]*Candidate, 0, len(cands))
-	for _, cd := range cands {
-		if !used[cd] {
-			rest = append(rest, cd)
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].TFSF != rest[j].TFSF {
-			return rest[i].TFSF > rest[j].TFSF
+	cr := core.Select(c, seeds, syns, log, core.Config{Lambda: lambda, MaxMultipletSize: maxMultiplet})
+	res = &Result{Evidence: len(cr.Evidence), Unexplained: cr.UnexplainedBits, Ranked: make([]*Candidate, len(cr.Ranked))}
+	for i, cd := range cr.Ranked {
+		d := &Candidate{Fault: fromStuck(cd.Fault), Covered: cd.Covered, TFSF: cd.TFSF, TPSF: cd.TPSF}
+		for _, e := range cd.Equivalent {
+			d.Equivalent = append(d.Equivalent, fromStuck(e))
 		}
-		if rest[i].TPSF != rest[j].TPSF {
-			return rest[i].TPSF < rest[j].TPSF
-		}
-		return rest[i].Fault.Net < rest[j].Fault.Net
-	})
-	res.Ranked = append(append([]*Candidate{}, res.Multiplet...), rest...)
+		res.Ranked[i] = d
+	}
+	res.Multiplet = res.Ranked[:len(cr.Multiplet)] // the ranking leads with the multiplet
 	return res, nil
 }

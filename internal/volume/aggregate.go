@@ -102,13 +102,6 @@ func (a *Aggregator) Devices() int64 {
 	return a.devices
 }
 
-// Unique returns the number of distinct syndromes folded so far.
-func (a *Aggregator) Unique() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return int64(len(a.seen))
-}
-
 // Summary is the aggregate in wire form. All slices carry a total order
 // (explicit sort keys, ties broken by name/bucket), so the JSON encoding
 // is deterministic.

@@ -68,6 +68,26 @@ func TestFingerprintEncodingInsensitive(t *testing.T) {
 	}
 }
 
+// TestFingerprintRepeatedPatternLines: a pattern listed twice unions its
+// failing POs in both wire formats, so the text and structured encodings
+// of one syndrome still fingerprint alike.
+func TestFingerprintRepeatedPatternLines(t *testing.T) {
+	c := &netlist.Circuit{Name: "c17"}
+	c.POs = []netlist.NetID{0, 1}
+	text := &Record{Datalog: "patterns 8\npos 2\nfail 1 0\nfail 3 0\nfail 3 1\n"}
+	structured := &Record{Fails: []PatternFails{{Pattern: 1, POs: []int{0}}, {Pattern: 3, POs: []int{0}}, {Pattern: 3, POs: []int{1}}}}
+	want := FingerprintDatalog("c17", fixedLog())
+	for name, r := range map[string]*Record{"text": text, "structured": structured} {
+		log, err := r.BuildDatalog(c, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FingerprintDatalog("c17", log); got != want {
+			t.Errorf("%s record fingerprints %s, want %s", name, got, want)
+		}
+	}
+}
+
 // TestFingerprintSensitivity pins that every syndrome-relevant dimension
 // feeds the hash: workload name, test-set size, PO count, the fail set
 // and the truncation point all separate fingerprints.

@@ -89,20 +89,9 @@ func (r *Record) BuildDatalog(c *netlist.Circuit, numPatterns int) (*tester.Data
 		return nil, fmt.Errorf("record carries both datalog text and structured fails")
 	}
 	if r.Datalog != "" {
-		log, err := tester.ReadDatalog(strings.NewReader(r.Datalog))
+		log, err := tester.ReadDatalogFor(strings.NewReader(r.Datalog), numPatterns, len(c.POs))
 		if err != nil {
 			return nil, fmt.Errorf("datalog: %w", err)
-		}
-		if log.NumPatterns != numPatterns {
-			return nil, fmt.Errorf("datalog has %d patterns, workload has %d", log.NumPatterns, numPatterns)
-		}
-		if log.NumPOs != len(c.POs) {
-			return nil, fmt.Errorf("datalog has %d POs, workload has %d", log.NumPOs, len(c.POs))
-		}
-		for p, set := range log.Fails {
-			if set.Empty() {
-				delete(log.Fails, p)
-			}
 		}
 		return log, nil
 	}
