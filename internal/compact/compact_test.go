@@ -10,8 +10,12 @@ import (
 	"multidiag/internal/circuits"
 	"multidiag/internal/core"
 	"multidiag/internal/defect"
+	"multidiag/internal/fault"
+	"multidiag/internal/fsim"
+	"multidiag/internal/logic"
 	"multidiag/internal/metrics"
 	"multidiag/internal/netlist"
+	"multidiag/internal/sim"
 	"multidiag/internal/tester"
 )
 
@@ -288,5 +292,50 @@ func TestIdentityCompactorMatchesCore(t *testing.T) {
 	}
 	if devices < 12 {
 		t.Fatalf("only %d activated devices", devices)
+	}
+}
+
+// TestFullyAliasedPatternPasses: a predicted pattern whose errors all
+// cancel in the compactor must read as passing, so faults that differ
+// only there stay one equivalence class. Here o0 = a and o1 = a AND b
+// share the single compressed output: a sa0 errs on both POs under 11
+// (aliased) and on o0 under 10, while b sa1 and o1 sa1 err on o1 under 10
+// only, so all three compress to the same syndrome.
+func TestFullyAliasedPatternPasses(t *testing.T) {
+	c := netlist.NewCircuit("alias")
+	a := c.MustAddGate(netlist.Input, "a")
+	b := c.MustAddGate(netlist.Input, "b")
+	o0 := c.MustAddGate(netlist.Buf, "o0", a)
+	o1 := c.MustAddGate(netlist.And, "o1", a, b)
+	for _, po := range []netlist.NetID{o0, o1} {
+		if err := c.MarkPO(po); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	pats := []sim.Pattern{{logic.One, logic.One}, {logic.One, logic.Zero}}
+	fs, err := fsim.NewFaultSim(c, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &Compactor{NumPOs: 2, NumOut: 1, Assign: [][]int{{0, 1}}, poOuts: [][]int{{0}, {0}}}
+	log := cp.CompressDatalog(tester.FromSyndrome("alias", fs.SimulateStuckAt(fault.StuckAt{Net: a})))
+	res, err := Diagnose(c, pats, log, cp, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Multiplet) != 1 {
+		t.Fatalf("multiplet %v, want one class", res.MultipletNets())
+	}
+	got := map[string]bool{res.Multiplet[0].Name(c): true}
+	for _, e := range res.Multiplet[0].Equivalent {
+		got[e.Name(c)] = true
+	}
+	for _, want := range []string{"a sa0", "b sa1", "o1 sa1"} {
+		if !got[want] {
+			t.Errorf("class %v misses %s", got, want)
+		}
 	}
 }

@@ -33,6 +33,8 @@ func FuzzReadDatalog(f *testing.F) {
 		"patterns 4\npos 9223372036854775807\nfail 0 0\n",
 		"patterns 4\npos 2\nfail 0 0\nfail 0 1\n",
 		"patterns -1\npos 2\n",
+		"patterns 4\npos 2\nfail 3 0\npatterns 2\n",
+		"patterns 4\npos 2\nfail 3 1\npos 1\n",
 		"# datalog for\n# x\npatterns 1\npos 1\n",
 	} {
 		f.Add(s)
