@@ -274,111 +274,238 @@ func Diagnose(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg C
 // DiagnoseCtx is Diagnose under a context: cancellation (or a deadline)
 // is observed between phases and between candidate-scoring chunks, and
 // surfaces as a wrapped ErrCanceled. The result is bit-identical to
-// Diagnose when the context never fires.
-func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg Config) (res *Result, err error) {
+// Diagnose when the context never fires. It is DiagnoseBatch for one
+// device: the root span is "diagnose", Config.Explain is honoured, and
+// Elapsed is that whole span.
+func DiagnoseCtx(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, cfg Config) (*Result, error) {
+	results, errs, err := DiagnoseBatch(ctx, c, pats, []*tester.Datalog{log}, cfg)
+	if err == nil {
+		err = errs[0]
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// DiagnoseBatch diagnoses the devices of one (circuit, test set) workload
+// in one pass; it is the engine's only pipeline. Each device gets the
+// shape check, its evidence universe and its effect-cause extraction. One
+// fault-parallel scoring pass then simulates the union of the devices'
+// seeds, so a seed shared by several devices simulates once (syndromes do
+// not depend on a datalog), and each device folds the syndromes of its own
+// seeds in its own seed order. Cover, refinement and the X-check run per
+// device. A device's Result therefore does not depend on its batchmates.
+//
+// Results and errors are positional (results[i]/errs[i] mirror logs[i];
+// exactly one of the pair is set). The returned error is reserved for
+// whole-batch failures — simulator construction or cancellation — in
+// which case the positional slices are partial.
+//
+// A one-device call is DiagnoseCtx: its root span is "diagnose" and its
+// Elapsed is the whole span. A coalesced call (mdserve's micro-batches)
+// opens "diagnose_batch", counts itself in the core.batch_* counters,
+// ignores Config.Explain (several devices' events would interleave
+// meaninglessly) and gives each device the Elapsed from its own start to
+// the end of its X-check, which includes the shared scoring pass. A call
+// in which no device has failing patterns to extract from builds no
+// simulator.
+func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, logs []*tester.Datalog, cfg Config) (results []*Result, errs []error, err error) {
 	cfg.fill()
+	solo := len(logs) == 1
+	rootName := "diagnose"
+	if !solo {
+		rootName = "diagnose_batch"
+		cfg.Explain = nil
+	}
 	// Each phase is one prof.Phase handle: it opens and closes the obs
 	// span, the request-tree span (when ctx carries a tree) and, on the
 	// stages, the prof window together, so every sink sees the same
 	// phases. With all of them off it is still a stopwatch, which is what
-	// fills Result.Elapsed.
-	root := prof.Open(ctx, cfg.Trace, "diagnose")
+	// fills a solo Result.Elapsed.
+	root := prof.Open(ctx, cfg.Trace, rootName)
+	results = make([]*Result, len(logs))
+	errs = make([]error, len(logs))
 	defer func() {
-		if d := root.End(); res != nil {
-			res.Elapsed = d
+		if d := root.End(); solo && results[0] != nil {
+			results[0].Elapsed = d
 		}
 	}()
+	if !solo {
+		root.SetInt("devices", int64(len(logs)))
+	}
 	reg := cfg.Trace.Registry()
-	if err := checkShape(c, pats, log); err != nil {
-		return nil, err
-	}
-
-	res = &Result{Consistent: true}
-	failing := log.FailingPatterns()
-	if len(failing) == 0 {
-		return res, nil // passing device: nothing to explain
-	}
-
 	rec := cfg.Explain
-
-	// Per-output evidence universe.
-	ph := root.Open("evidence")
-	evIndex := indexEvidence(res, log, failing, reg)
-	ph.SetInt("evidence_bits", int64(len(res.Evidence)))
-	ph.SetInt("failing_patterns", int64(len(failing)))
-	ph.End()
-	if rec.Enabled() {
-		bits := make([]explain.Bit, len(res.Evidence))
-		for i, b := range res.Evidence {
-			bits[i] = explain.Bit{Pattern: b.Pattern, PO: b.PO}
-		}
-		rec.Evidence(bits)
-	}
-
-	fs, cpt, err := openSims(ctx, root, c, pats, cfg, reg)
-	if err != nil {
-		return nil, err
-	}
-
 	workers := fsim.Workers(cfg.Workers)
 
-	// Step 1: effect-cause candidate extraction via CPT per failing output.
-	// Failing patterns are independent back-traces, so they shard across
-	// forked tracers; the union is merged in pattern order (and sorted), so
-	// the seed list is identical at any worker count.
-	ph = root.Open("extract")
-	seeds, err := extractCandidates(ph.Ctx(), c, cpt, pats, log, cfg.ApproxCPT, workers, rec)
-	ph.SetInt("seeds", int64(len(seeds)))
-	ph.End()
-	if err != nil {
-		return nil, err
+	// Per device: shape check, evidence universe, effect-cause extraction.
+	// The simulator is built just before the first extraction.
+	type device struct {
+		res     *Result
+		log     *tester.Datalog
+		start   time.Time
+		evIndex map[EvidenceBit]int
+		seeds   []fault.StuckAt
+		folder  *scoreFolder
+		folded  int // seeds folded so far
+		cands   []*Candidate
 	}
-	res.CandidatesExtracted = len(seeds)
-	reg.Counter("core.candidates_extracted").Add(int64(len(seeds)))
-	if err := checkpoint(ctx, "extract"); err != nil {
-		return nil, err
+	var devs []*device
+	var fs *fsim.FaultSim
+	var cpt *fsim.CPT
+	totalSeeds := 0
+	for i, log := range logs {
+		start := time.Now()
+		if err := checkShape(c, pats, log); err != nil {
+			errs[i] = err
+			continue
+		}
+		res := &Result{Consistent: true}
+		results[i] = res
+		failing := log.FailingPatterns()
+		if len(failing) == 0 {
+			res.Elapsed = time.Since(start)
+			continue // passing device: nothing to explain
+		}
+
+		ph := root.Open("evidence")
+		evIndex := indexEvidence(res, log, failing, reg)
+		ph.SetInt("evidence_bits", int64(len(res.Evidence)))
+		ph.SetInt("failing_patterns", int64(len(failing)))
+		ph.End()
+		if rec.Enabled() {
+			bits := make([]explain.Bit, len(res.Evidence))
+			for j, b := range res.Evidence {
+				bits[j] = explain.Bit{Pattern: b.Pattern, PO: b.PO}
+			}
+			rec.Evidence(bits)
+		}
+
+		if fs == nil {
+			if fs, cpt, err = openSims(ctx, root, c, pats, cfg, reg); err != nil {
+				return results, errs, err
+			}
+		}
+		// Step 1: effect-cause candidate extraction via CPT per failing
+		// output (see extractCandidates).
+		ph = root.Open("extract")
+		seeds, err := extractCandidates(ph.Ctx(), c, cpt, pats, log, cfg.ApproxCPT, workers, rec)
+		ph.SetInt("device", int64(i))
+		ph.SetInt("seeds", int64(len(seeds)))
+		ph.End()
+		if err != nil {
+			results[i], errs[i] = nil, err
+			continue
+		}
+		if err := checkpoint(ctx, "extract"); err != nil {
+			return results, errs, err
+		}
+		res.CandidatesExtracted = len(seeds)
+		reg.Counter("core.candidates_extracted").Add(int64(len(seeds)))
+		totalSeeds += len(seeds)
+		devs = append(devs, &device{res: res, log: log, start: start, evIndex: evIndex, seeds: seeds})
 	}
 
-	// Step 2: score every candidate by cone-limited fault simulation. The
-	// simulations are independent, so the seed list shards across the
-	// worker pool in contiguous chunks (fsim.parallel span); each chunk's
-	// syndromes are folded — on this goroutine, strictly in seed order —
-	// as soon as the chunk completes, then released back to the
-	// simulator's arena. Seed-order folding keeps every downstream
-	// decision — equivalence classes, cover tie-breaks, ranking —
-	// bit-identical to the sequential engine; chunk-wise folding keeps the
-	// live syndrome count (and the allocator) bounded by the worker pool
-	// rather than the seed count. The pool runs under fsim.parallel's
-	// context, so worker goroutines inherit phase=score (and any workload
-	// label) and their allocations land in the score window.
-	ph = root.Open("score")
+	// Step 2: score the union of the seed lists by cone-limited fault
+	// simulation. The simulations are independent, so the union shards
+	// across the worker pool in contiguous chunks (fsim.parallel span);
+	// chunks arrive on this goroutine in union order, each syndrome folds
+	// into every device that extracted its seed, strictly in that
+	// device's seed order, and then goes back to the arena. Seed-order
+	// folding keeps every downstream decision — equivalence classes,
+	// cover tie-breaks, ranking — bit-identical to a sequential per-seed
+	// loop; chunk-wise folding keeps the live syndrome count bounded by
+	// the worker pool rather than the seed count. The pool runs under
+	// fsim.parallel's context, so worker goroutines inherit phase=score
+	// (and any workload label) and their allocations land in the score
+	// window.
+	set := bitset.New(2 * c.NumGates())
+	for _, dv := range devs {
+		for _, f := range dv.seeds {
+			set.Add(seedBit(f))
+		}
+	}
+	union := seedsOf(set)
+	if !solo {
+		reg.Counter("core.batch_devices").Add(int64(len(logs)))
+		reg.Counter("core.batch_union_seeds").Add(int64(len(union)))
+		reg.Counter("core.batch_seed_reuse").Add(int64(totalSeeds - len(union)))
+	}
+	if len(devs) == 0 {
+		return results, errs, nil
+	}
+	ph := root.Open("score")
 	ph.SetInt("workers", int64(workers))
+	ph.SetInt("union_seeds", int64(len(union)))
+	ph.SetInt("seed_reuse", int64(totalSeeds-len(union)))
 	reg.Gauge("fsim.workers").Set(int64(workers))
+	// Folders are built inside the score window: their evidence lookup
+	// tables are scoring's allocations.
+	for _, dv := range devs {
+		dv.folder = newScoreFolder(c, dv.seeds, dv.log, dv.evIndex, len(dv.res.Evidence), cfg, rec)
+	}
 	par := ph.Open("fsim.parallel")
-	folder := newScoreFolder(c, fs, seeds, log, evIndex, len(res.Evidence), cfg, rec, true)
-	fs.SimulateStuckAtChunksCtx(par.Ctx(), seeds, workers, func(start int, syns []*fsim.Syndrome) {
+	fs.SimulateStuckAtChunksCtx(par.Ctx(), union, workers, func(start int, syns []*fsim.Syndrome) {
 		for i, syn := range syns {
-			folder.fold(start+i, syn)
+			for _, dv := range devs {
+				if dv.folded < len(dv.seeds) && dv.seeds[dv.folded] == union[start+i] {
+					dv.folder.fold(dv.folded, syn)
+					dv.folded++
+				}
+			}
+			fs.ReleaseSyndrome(syn)
 		}
 	})
 	par.End()
 	if err := checkpoint(ctx, "score"); err != nil {
 		ph.End()
-		return nil, err
+		return results, errs, err
 	}
-	cands := folder.finish()
-	ph.SetInt("candidates", int64(len(cands)))
+	scored := 0
+	for _, dv := range devs {
+		dv.cands = dv.folder.finish()
+		scored += len(dv.cands)
+		reg.Counter("core.candidates_scored").Add(int64(len(dv.cands)))
+		reg.Counter("core.candidates_pruned").Add(int64(len(dv.seeds) - len(dv.cands)))
+	}
+	ph.SetInt("candidates", int64(scored))
 	ph.End()
-	reg.Counter("core.candidates_scored").Add(int64(len(cands)))
-	reg.Counter("core.candidates_pruned").Add(int64(len(seeds) - len(cands)))
 
-	// Steps 3–5 plus ranking (shared with DiagnoseBatch).
-	if err := finishDiagnosis(ctx, root, c, fs, log, evIndex, cands, res, cfg, reg, rec); err != nil {
-		return nil, err
+	// Steps 3–5 plus ranking, per device.
+	for _, dv := range devs {
+		if err := finishDiagnosis(ctx, root, c, fs, dv.log, &dv.folder.ev, dv.cands, dv.res, cfg, reg, rec); err != nil {
+			return results, errs, err
+		}
+		dv.res.Elapsed = time.Since(dv.start)
 	}
-	root.SetInt("multiplet", int64(len(res.Multiplet)))
-	return res, nil
+	if solo {
+		root.SetInt("multiplet", int64(len(results[0].Multiplet)))
+	}
+	return results, errs, nil
 }
+
+// seedBit numbers a hypothesis 2·net + polarity, so the members of a set
+// of them, in ascending order, are the hypotheses sorted by (net,
+// stuck-at-0 first): the order of every seed list and of their union.
+func seedBit(f fault.StuckAt) int {
+	if f.Value1 {
+		return 2*int(f.Net) + 1
+	}
+	return 2 * int(f.Net)
+}
+
+// seedsOf lists a set of seedBit numbers as hypotheses, in seed order.
+func seedsOf(set bitset.Set) []fault.StuckAt {
+	members := set.AppendMembers(make([]int, 0, set.Count()))
+	seeds := make([]fault.StuckAt, len(members))
+	for i, k := range members {
+		seeds[i] = seedOf(k)
+	}
+	return seeds
+}
+
+// seedOf inverts seedBit.
+func seedOf(k int) fault.StuckAt { return fault.StuckAt{Net: netlist.NetID(k / 2), Value1: k%2 == 1} }
 
 // Seeds runs the effect-cause front end alone: exact critical path tracing
 // of every observed failing output of every fully determinate failing
@@ -400,7 +527,7 @@ func Seeds(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) ([]fault
 //
 // Select has no refinement and no X-check, so Consistent only says
 // whether a multiplet was found, as in Diagnose with both disabled.
-// Config.Explain is ignored, as in DiagnoseBatch.
+// Config.Explain is ignored.
 func Select(c *netlist.Circuit, seeds []fault.StuckAt, syns []*fsim.Syndrome, log *tester.Datalog, cfg Config) *Result {
 	cfg.fill()
 	res := &Result{Consistent: true, CandidatesExtracted: len(seeds)}
@@ -446,11 +573,10 @@ func indexEvidence(res *Result, log *tester.Datalog, failing []int, reg *obs.Reg
 	return evIndex
 }
 
-// openSims builds what every diagnosis of one workload runs on, the
-// front half DiagnoseCtx and DiagnoseBatch share: the fault simulator —
-// cfg.SharedSim when its shape matches, else a private one built in the
-// goodsim phase — observed on reg with cfg.ConeCache attached, and the
-// critical path tracer that drives extraction.
+// openSims builds what every diagnosis of one workload runs on: the
+// fault simulator — cfg.SharedSim when its shape matches, else a private
+// one built in the goodsim phase — observed on reg with cfg.ConeCache
+// attached, and the critical path tracer that drives extraction.
 func openSims(ctx context.Context, root prof.Phase, c *netlist.Circuit, pats []sim.Pattern, cfg Config, reg *obs.Registry) (*fsim.FaultSim, *fsim.CPT, error) {
 	ph := root.Open("goodsim")
 	fs := cfg.SharedSim
@@ -474,12 +600,11 @@ func openSims(ctx context.Context, root prof.Phase, c *netlist.Circuit, pats []s
 	return fs, cpt, checkpoint(ctx, "goodsim")
 }
 
-// finishDiagnosis runs the post-scoring pipeline — greedy per-output
-// covering, fault-model refinement, the X-masking consistency check and
-// the final ranking — filling res in place, its phases nested under
-// root. It is shared by DiagnoseCtx and DiagnoseBatch so coalesced
-// diagnoses cannot drift from the single-device engine.
-func finishDiagnosis(ctx context.Context, root prof.Phase, c *netlist.Circuit, fs *fsim.FaultSim, log *tester.Datalog, evIndex map[EvidenceBit]int, cands []*Candidate, res *Result, cfg Config, reg *obs.Registry, rec *explain.Recorder) error {
+// finishDiagnosis runs one device's post-scoring pipeline — greedy
+// per-output covering, fault-model refinement, the X-masking consistency
+// check and the final ranking — filling res in place, its phases nested
+// under root.
+func finishDiagnosis(ctx context.Context, root prof.Phase, c *netlist.Circuit, fs *fsim.FaultSim, log *tester.Datalog, ev *evLookup, cands []*Candidate, res *Result, cfg Config, reg *obs.Registry, rec *explain.Recorder) error {
 	// Step 3: greedy per-output covering.
 	ph := root.Open("cover")
 	multiplet, uncovered := cover(c, cands, len(res.Evidence), cfg, rec)
@@ -497,14 +622,14 @@ func finishDiagnosis(ctx context.Context, root prof.Phase, c *netlist.Circuit, f
 	// Step 4: fault-model refinement (bridge aggressor search).
 	if !cfg.DisableBridgeSearch {
 		ph = root.Open("refine")
-		refineModels(c, fs, multiplet, log, evIndex, cfg, reg, rec)
+		refineModels(c, fs, multiplet, ev, cfg, reg, rec)
 		ph.End()
 		if err := checkpoint(ctx, "refine"); err != nil {
 			return err
 		}
 	} else if rec.Enabled() {
 		for _, cd := range multiplet {
-			rec.Refine(cd.Fault.String(), cd.Name(c), stuckModelFit(cd), explain.VerdictSkipped)
+			rec.Refine(cd.Fault.String(), cd.Name(c), modelFits(c, cd, nil), explain.VerdictSkipped)
 		}
 	}
 
@@ -571,24 +696,32 @@ type extractJob struct {
 	p      int
 	pos    []netlist.NetID
 	poIdxs []int
+	err    error
+	// For a recorder: the seedBit set this trace yielded and, on the exact
+	// path, each failing output's critical nets (bit i·gates + net for
+	// pos[i]).
+	found bitset.Set
+	crit  bitset.Set
 }
 
 // extractCandidates back-traces every observed failing output with CPT and
-// returns the union of (net, stuck-at-complement) hypotheses. Patterns with
-// X inputs are skipped for extraction (they still participate in scoring).
-// With a recorder attached it also attributes every hypothesis to the
-// failing bits whose back-cone yielded it — per (pattern, PO) on the exact
-// path, per pattern (PO −1) on the approximate path, which only reports
-// the per-pattern union.
+// returns the union of (net, stuck-at-complement) hypotheses, sorted by
+// (net, stuck-at-0 first). Patterns with X inputs are skipped for
+// extraction (they still participate in scoring).
 //
-// Failing patterns are independent traces, so with workers > 1 they shard
-// across forked tracers. Per-pattern hypothesis sets are merged in pattern
-// order and the union is sorted by (net, polarity) regardless, so the seed
-// list is identical at any worker count. The recorder path stays
-// sequential: bit attribution must observe patterns in order.
+// Failing patterns are independent traces, so they shard across up to
+// workers tracers (the first is cpt, on this goroutine; the rest are
+// forks). Each worker marks its hypotheses in a private seedBit set, and
+// the union read in ascending order is the sorted seed list, so it is
+// identical at any worker count. With a recorder attached, every
+// hypothesis is attributed afterwards, on this goroutine and in pattern
+// order, to the failing bits whose back-cone yielded it — per (pattern,
+// PO) on the exact path, per pattern (PO −1) on the approximate path,
+// which only reports the per-pattern union.
 func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, pats []sim.Pattern, log *tester.Datalog, approx bool, workers int, rec *explain.Recorder) ([]fault.StuckAt, error) {
-	var jobs []extractJob
-	for _, p := range log.FailingPatterns() {
+	failing := log.FailingPatterns()
+	jobs := make([]extractJob, 0, len(failing))
+	for _, p := range failing {
 		determinate := true
 		for _, v := range pats[p] {
 			if !v.IsKnown() {
@@ -607,105 +740,61 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 		jobs = append(jobs, extractJob{p: p, pos: pos, poIdxs: poIdxs})
 	}
 
-	seen := make(map[fault.StuckAt]bool)
-	var out []fault.StuckAt
-	var sources map[fault.StuckAt][]explain.Bit
-	if rec.Enabled() {
-		sources = make(map[fault.StuckAt][]explain.Bit)
+	workers = max(min(workers, len(jobs)), 1)
+	found := make([]bitset.Set, workers)
+	var next atomic.Int64
+	work := func(w int, t *fsim.CPT) {
+		found[w] = bitset.New(2 * c.NumGates())
+		prof.Worker(ctx, w, "", func(ctx context.Context, _ prof.Phase) {
+			for ctx.Err() == nil {
+				ji := int(next.Add(1)) - 1
+				if ji >= len(jobs) {
+					return
+				}
+				if jobs[ji].trace(t, pats[jobs[ji].p], approx, rec.Enabled(), found[w]) != nil {
+					return
+				}
+			}
+		})
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, t *fsim.CPT) {
+			defer wg.Done()
+			work(w, t)
+		}(w, cpt.Fork())
+	}
+	work(0, cpt)
+	wg.Wait()
 
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers > 1 && !rec.Enabled() {
-		perJob := make([][]fault.StuckAt, len(jobs))
-		errs := make([]error, len(jobs))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			t := cpt
-			if wk > 0 {
-				t = cpt.Fork()
-			}
-			wg.Add(1)
-			go func(wk int, t *fsim.CPT) {
-				defer wg.Done()
-				prof.Worker(ctx, wk, "", func(ctx context.Context, _ prof.Phase) {
-					for ctx.Err() == nil {
-						ji := int(next.Add(1)) - 1
-						if ji >= len(jobs) {
-							return
-						}
-						perJob[ji], errs[ji] = traceJob(c, t, pats, jobs[ji], approx)
-						if errs[ji] != nil {
-							return
-						}
-					}
-				})
-			}(wk, t)
-		}
-		wg.Wait()
-		for ji := range jobs {
-			if errs[ji] != nil {
-				return nil, errs[ji]
-			}
-			for _, f := range perJob[ji] {
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-			}
-		}
-	} else {
-		for _, j := range jobs {
-			var (
-				union []bool
-				per   [][]bool
-				vals  []logic.Value
-				err   error
-			)
-			if approx {
-				union, vals, err = cpt.CriticalApproxForOutputs(pats[j.p], j.pos)
-			} else {
-				union, per, vals, err = cpt.CriticalForOutputs(pats[j.p], j.pos)
-			}
-			if err != nil {
-				return nil, err
-			}
-			for id, cr := range union {
-				if !cr {
-					continue
-				}
-				n := netlist.NetID(id)
-				if !vals[n].IsKnown() {
-					continue
-				}
-				f := fault.StuckAt{Net: n, Value1: vals[n] == logic.Zero}
-				if !seen[f] {
-					seen[f] = true
-					out = append(out, f)
-				}
-				if sources != nil {
-					if per == nil {
-						sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: -1})
-					} else {
-						for i, crit := range per {
-							if crit[n] {
-								sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: j.poIdxs[i]})
-							}
-						}
-					}
-				}
-			}
+	for _, j := range jobs {
+		if j.err != nil {
+			return nil, j.err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Net != out[j].Net {
-			return out[i].Net < out[j].Net
-		}
-		return !out[i].Value1 && out[j].Value1
-	})
+	for _, f := range found[1:] {
+		found[0].UnionWith(f)
+	}
+	out := seedsOf(found[0])
 	if rec.Enabled() {
+		sources := make(map[fault.StuckAt][]explain.Bit, len(out))
+		var members []int
+		for _, j := range jobs {
+			members = j.found.AppendMembers(members[:0])
+			for _, k := range members {
+				f := seedOf(k)
+				if j.crit == nil {
+					sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: -1})
+					continue
+				}
+				for i, po := range j.poIdxs {
+					if j.crit.Has(i*c.NumGates() + int(f.Net)) {
+						sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: po})
+					}
+				}
+			}
+		}
 		for _, f := range out {
 			rec.Extract(f.String(), f.Name(c), sources[f])
 		}
@@ -713,71 +802,110 @@ func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, p
 	return out, nil
 }
 
-// traceJob back-traces one failing pattern on tracer t and returns its
-// hypothesis set (copied out of the tracer's scratch).
-func traceJob(c *netlist.Circuit, t *fsim.CPT, pats []sim.Pattern, j extractJob, approx bool) ([]fault.StuckAt, error) {
+// trace back-traces the job's failing outputs on tracer t and marks each
+// (net, stuck-at-complement) hypothesis in the seedBit set found. With
+// attribute set it also keeps, out of the tracer's scratch, what the
+// recorder's attribution needs.
+func (j *extractJob) trace(t *fsim.CPT, pat sim.Pattern, approx, attribute bool, found bitset.Set) error {
 	var (
 		union []bool
+		per   [][]bool
 		vals  []logic.Value
-		err   error
 	)
 	if approx {
-		union, vals, err = t.CriticalApproxForOutputs(pats[j.p], j.pos)
+		union, vals, j.err = t.CriticalApproxForOutputs(pat, j.pos)
 	} else {
-		union, _, vals, err = t.CriticalForOutputs(pats[j.p], j.pos)
+		union, per, vals, j.err = t.CriticalForOutputs(pat, j.pos)
 	}
-	if err != nil {
-		return nil, err
+	if j.err != nil {
+		return j.err
 	}
-	var out []fault.StuckAt
+	if attribute {
+		j.found = bitset.New(2 * len(union))
+		if per != nil {
+			j.crit = bitset.New(len(per) * len(union))
+		}
+		for i, crit := range per {
+			for n, cr := range crit {
+				if cr {
+					j.crit.Add(i*len(union) + n)
+				}
+			}
+		}
+	}
 	for id, cr := range union {
-		if !cr {
+		if !cr || !vals[id].IsKnown() {
 			continue
 		}
-		n := netlist.NetID(id)
-		if !vals[n].IsKnown() {
-			continue
+		k := seedBit(fault.StuckAt{Net: netlist.NetID(id), Value1: vals[id] == logic.Zero})
+		found.Add(k)
+		if attribute {
+			j.found.Add(k)
 		}
-		out = append(out, fault.StuckAt{Net: n, Value1: vals[n] == logic.Zero})
 	}
-	return out, nil
+	return nil
 }
 
-// evLookup resolves an observed (pattern, PO) pair to its evidence index.
-// For workload shapes where the dense table is affordable it is a flat
-// int32 array — one load on the innermost scoring loop, no map hashing,
-// no composite-key boxing; very large pattern×PO products fall back to
-// the map the caller already built.
+// evLookup classifies a (pattern, PO) bit of one datalog: its evidence
+// index when the datalog records it failing, evPassing when the tester
+// observed it passing, evUnknown when the tester never observed it — every
+// unrecorded bit from a truncated datalog's cut on (Truncate may store a
+// partly captured pattern at the cut). Scoring and bridge refinement both
+// resolve predicted failures through it, so one type decides what was
+// observed. For workload shapes where the dense table is affordable it is
+// a flat int32 array — one load on the innermost scoring loop, no map
+// hashing, no composite-key boxing; very large pattern×PO products fall
+// back to the map the caller already built.
 type evLookup struct {
-	flat   []int32 // index [p*numPOs+po], -1 = not evidence
+	flat   []int32 // index [p*numPOs+po]
 	numPOs int
 	m      map[EvidenceBit]int
+	cut    int // first pattern whose unrecorded bits are unknown
 }
+
+// Bit classes evLookup.get returns instead of an evidence index.
+const (
+	evPassing = -1
+	evUnknown = -2
+)
 
 // evLookupFlatMax bounds the dense table (entries, i.e. 4 bytes each).
 const evLookupFlatMax = 1 << 22
 
-func newEvLookup(numPats, numPOs int, evIndex map[EvidenceBit]int) evLookup {
-	if numPats*numPOs > evLookupFlatMax {
-		return evLookup{m: evIndex, numPOs: numPOs}
+func newEvLookup(log *tester.Datalog, evIndex map[EvidenceBit]int) evLookup {
+	l := evLookup{numPOs: log.NumPOs, cut: log.NumPatterns}
+	if log.Truncated {
+		l.cut = log.TruncatedAfter
 	}
-	flat := make([]int32, numPats*numPOs)
-	for i := range flat {
-		flat[i] = -1
+	if log.NumPatterns*log.NumPOs > evLookupFlatMax {
+		l.m = evIndex
+		return l
+	}
+	l.flat = make([]int32, log.NumPatterns*log.NumPOs)
+	for i := range l.flat {
+		l.flat[i] = evPassing
+	}
+	for i := max(l.cut, 0) * l.numPOs; i < len(l.flat); i++ {
+		l.flat[i] = evUnknown
 	}
 	for bit, idx := range evIndex {
-		flat[bit.Pattern*numPOs+bit.PO] = int32(idx)
+		l.flat[bit.Pattern*l.numPOs+bit.PO] = int32(idx)
 	}
-	return evLookup{flat: flat, numPOs: numPOs}
+	return l
 }
 
-func (l *evLookup) get(p, po int) (int, bool) {
+// get returns the bit's evidence index, or evPassing or evUnknown.
+func (l *evLookup) get(p, po int) int {
 	if l.flat != nil {
-		idx := l.flat[p*l.numPOs+po]
-		return int(idx), idx >= 0
+		return int(l.flat[p*l.numPOs+po])
 	}
-	idx, ok := l.m[EvidenceBit{Pattern: p, PO: po}]
-	return idx, ok
+	if idx, ok := l.m[EvidenceBit{Pattern: p, PO: po}]; ok {
+		return idx
+	}
+	if p >= l.cut {
+		return evUnknown
+	}
+	return evPassing
 }
 
 // scoreFolder folds syndromes — strictly in seed order — into scored
@@ -792,19 +920,16 @@ func (l *evLookup) get(p, po int) (int, bool) {
 // (pattern index + raw failing-set words, looked up with the
 // map[string]-on-[]byte idiom), a member-enumeration slice, and one
 // coverage bitset that is only cloned for seeds that found a new,
-// non-pruned class. With releaseSyns set, every folded syndrome is handed
-// back to the simulator's arena, so a scoring pass keeps O(workers ×
-// chunk) syndromes live instead of O(seeds).
+// non-pruned class. It never retains a syndrome, so the caller may hand
+// each back to the simulator's arena once every folder has seen it.
 type scoreFolder struct {
-	c           *netlist.Circuit
-	fs          *fsim.FaultSim
-	seeds       []fault.StuckAt
-	log         *tester.Datalog
-	ev          evLookup
-	numEv       int
-	cfg         Config
-	rec         *explain.Recorder
-	releaseSyns bool
+	c     *netlist.Circuit
+	seeds []fault.StuckAt
+	log   *tester.Datalog
+	ev    evLookup
+	numEv int
+	cfg   Config
+	rec   *explain.Recorder
 
 	cands   []*Candidate
 	classes map[string]*Candidate
@@ -813,20 +938,18 @@ type scoreFolder struct {
 	cov     bitset.Set
 }
 
-func newScoreFolder(c *netlist.Circuit, fs *fsim.FaultSim, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder, releaseSyns bool) *scoreFolder {
+func newScoreFolder(c *netlist.Circuit, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder) *scoreFolder {
 	return &scoreFolder{
-		c:           c,
-		fs:          fs,
-		seeds:       seeds,
-		log:         log,
-		ev:          newEvLookup(log.NumPatterns, log.NumPOs, evIndex),
-		numEv:       numEv,
-		cfg:         cfg,
-		rec:         rec,
-		releaseSyns: releaseSyns,
-		cands:       make([]*Candidate, 0, len(seeds)/4+1),
-		classes:     make(map[string]*Candidate),
-		cov:         bitset.New(numEv),
+		c:       c,
+		seeds:   seeds,
+		log:     log,
+		ev:      newEvLookup(log, evIndex),
+		numEv:   numEv,
+		cfg:     cfg,
+		rec:     rec,
+		cands:   make([]*Candidate, 0, len(seeds)/4+1),
+		classes: make(map[string]*Candidate),
+		cov:     bitset.New(numEv),
 	}
 }
 
@@ -852,7 +975,6 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 		if sf.rec.Enabled() { // guard: argument rendering is not free
 			sf.rec.Merged(f.String(), f.Name(sf.c), rep.Fault.String())
 		}
-		sf.releaseSyn(syn)
 		return
 	}
 	cd := &Candidate{Fault: f}
@@ -864,10 +986,12 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 		}
 		sf.memBuf = fails.AppendMembers(sf.memBuf[:0])
 		for _, po := range sf.memBuf {
-			if idx, ok := sf.ev.get(p, po); ok {
-				sf.cov.Add(idx)
-			} else {
+			switch idx := sf.ev.get(p, po); idx {
+			case evPassing:
 				cd.TPSF++
+			case evUnknown:
+			default:
+				sf.cov.Add(idx)
 			}
 		}
 	}
@@ -880,14 +1004,11 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 			exact := pred != nil && pred.Equal(obs)
 			if !exact {
 				for _, po := range obs.Members() {
-					if idx, ok := sf.ev.get(p, po); ok {
-						sf.cov.Remove(idx)
-					}
+					sf.cov.Remove(sf.ev.get(p, po))
 				}
 			}
 		}
 	}
-	sf.releaseSyn(syn)
 	cd.TFSF = sf.cov.Count()
 	if cd.TFSF == 0 {
 		// Explains nothing observable. The class entry stays (so equivalent
@@ -902,12 +1023,6 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 	cd.Covered = sf.cov.Clone()
 	cd.Models = []Model{{Kind: StuckOrOpen, Mispredictions: cd.TPSF}}
 	sf.cands = append(sf.cands, cd)
-}
-
-func (sf *scoreFolder) releaseSyn(syn *fsim.Syndrome) {
-	if sf.releaseSyns {
-		sf.fs.ReleaseSyndrome(syn)
-	}
 }
 
 // finish records the survivors (classes are final only once every seed has
@@ -927,11 +1042,9 @@ func (sf *scoreFolder) finish() []*Candidate {
 }
 
 // scoreCandidates folds a fully materialized syndrome slice (indexed like
-// seeds) — the batch-diagnosis path, which must keep the shared syndromes
-// alive across devices and so never releases them. The single-device
-// engine folds incrementally through scoreFolder instead.
+// seeds): Select's path, over syndromes its caller simulated.
 func scoreCandidates(c *netlist.Circuit, syns []*fsim.Syndrome, seeds []fault.StuckAt, log *tester.Datalog, evIndex map[EvidenceBit]int, numEv int, cfg Config, rec *explain.Recorder) []*Candidate {
-	sf := newScoreFolder(c, nil, seeds, log, evIndex, numEv, cfg, rec, false)
+	sf := newScoreFolder(c, seeds, log, evIndex, numEv, cfg, rec)
 	for si, syn := range syns {
 		sf.fold(si, syn)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"multidiag/internal/circuits"
@@ -236,5 +237,34 @@ func TestExplainDisabledIsUntraced(t *testing.T) {
 	var rec *explain.Recorder
 	if evs, dropped := rec.Events(); evs != nil || dropped != 0 {
 		t.Fatal("nil recorder accumulated events")
+	}
+}
+
+// TestExplainEventsIndependentOfWorkers: with a recorder attached,
+// extraction and refinement still run their worker pools and emit their
+// events afterwards, in pattern and multiplet order, so the event stream
+// is identical at any worker count, on the exact and the approximate
+// extraction path.
+func TestExplainEventsIndependentOfWorkers(t *testing.T) {
+	c, pats, log := parallelFixture(t, 300, 3)
+	for _, approx := range []bool{false, true} {
+		var want []explain.Event
+		for _, workers := range []int{1, 2, 4} {
+			rec := explain.New("test")
+			if _, err := Diagnose(c, pats, log, Config{Workers: workers, ApproxCPT: approx, Explain: rec}); err != nil {
+				t.Fatal(err)
+			}
+			evs, dropped := rec.Events()
+			if dropped != 0 || len(evs) == 0 {
+				t.Fatalf("approx=%v workers=%d: %d events, %d dropped", approx, workers, len(evs), dropped)
+			}
+			if want == nil {
+				want = evs
+				continue
+			}
+			if !reflect.DeepEqual(evs, want) {
+				t.Fatalf("approx=%v workers=%d: events differ from the one-worker run", approx, workers)
+			}
+		}
 	}
 }

@@ -68,10 +68,11 @@ func TestChunkedFoldMatchesPerSeedScoring(t *testing.T) {
 	want := renderCandidates(scoreCandidates(c, syns, seeds, log, evIndex, len(evidence), cfg, nil))
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		folder := newScoreFolder(c, fs, seeds, log, evIndex, len(evidence), cfg, nil, true)
+		folder := newScoreFolder(c, seeds, log, evIndex, len(evidence), cfg, nil)
 		fs.SimulateStuckAtChunksCtx(context.Background(), seeds, workers, func(start int, chunk []*fsim.Syndrome) {
 			for i, syn := range chunk {
 				folder.fold(start+i, syn)
+				fs.ReleaseSyndrome(syn)
 			}
 		})
 		if got := renderCandidates(folder.finish()); got != want {

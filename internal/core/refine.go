@@ -28,66 +28,66 @@ import (
 // Accepted bridge models are appended to the member's Models list (best
 // first by mispredictions); the seed stuck/open model always remains, since
 // logic-level behaviour cannot always separate the mechanisms.
-func refineModels(c *netlist.Circuit, fs *fsim.FaultSim, multiplet []*Candidate, log *tester.Datalog, evIndex map[EvidenceBit]int, cfg Config, reg *obs.Registry, rec *explain.Recorder) {
+func refineModels(c *netlist.Circuit, fs *fsim.FaultSim, multiplet []*Candidate, ev *evLookup, cfg Config, reg *obs.Registry, rec *explain.Recorder) {
 	if len(multiplet) == 0 {
 		return
 	}
 	// Members are independent victims writing only their own Models list,
-	// so they shard across goroutines (each with a private re-simulator).
-	// The recorder path stays sequential: refine events must arrive in
+	// so they shard across workers (the first on this goroutine), each with
+	// a private re-simulator. The recorder hears about them afterwards, in
 	// multiplet order.
-	workers := fsim.Workers(cfg.Workers)
-	if workers > len(multiplet) {
-		workers = len(multiplet)
-	}
-	if workers > 1 && !rec.Enabled() {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := sim.New(c)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(multiplet) {
-						return
-					}
-					refineMember(c, fs, s, multiplet[i], evIndex, cfg, reg, nil)
-				}
-			}()
+	bridges := make([][]bridgeModelFit, len(multiplet))
+	workers := min(fsim.Workers(cfg.Workers), len(multiplet))
+	var next atomic.Int64
+	work := func() {
+		s := sim.New(c)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(multiplet) {
+				return
+			}
+			bridges[i] = refineMember(c, fs, s, multiplet[i], ev, cfg, reg)
 		}
-		wg.Wait()
-		return
 	}
-	s := sim.New(c)
-	for _, cd := range multiplet {
-		refineMember(c, fs, s, cd, evIndex, cfg, reg, rec)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if rec.Enabled() {
+		for i, cd := range multiplet {
+			rec.Refine(cd.Fault.String(), cd.Name(c), modelFits(c, cd, bridges[i]), explain.VerdictScored)
+		}
 	}
 }
 
-// refineMember runs the aggressor search for one multiplet member.
-func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *Candidate, evIndex map[EvidenceBit]int, cfg Config, reg *obs.Registry, rec *explain.Recorder) {
+// bridgeModelFit is one accepted aggressor with its bridgeFit statistics.
+type bridgeModelFit struct {
+	aggr    netlist.NetID
+	covered int
+	tpsf    int
+}
+
+// refineMember runs the aggressor search for one multiplet member and
+// returns the bridge models it accepted.
+func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *Candidate, ev *evLookup, cfg Config, reg *obs.Registry) []bridgeModelFit {
 	tested := reg.Counter("core.bridge_aggressors_tested")
 	accepted := reg.Counter("core.bridge_models_accepted")
 	force := make(map[netlist.NetID]logic.PV64, 1)
 	victim := cd.Fault.Net
 	aggressors := bridgeAggressors(c, victim, cfg)
 	if len(aggressors) == 0 {
-		if rec.Enabled() {
-			rec.Refine(cd.Fault.String(), cd.Name(c), stuckModelFit(cd), explain.VerdictScored)
-		}
-		return
+		return nil
 	}
 	tested.Add(int64(len(aggressors)))
-	type fit struct {
-		aggr    netlist.NetID
-		covered int
-		tpsf    int
-	}
-	var fits []fit
+	var fits []bridgeModelFit
 	for _, a := range aggressors {
-		cov, tpsf := bridgeFit(c, fs, s, victim, a, evIndex, force)
+		cov, tpsf := bridgeFit(c, fs, s, victim, a, ev, force)
 		if cov == 0 {
 			continue
 		}
@@ -95,7 +95,7 @@ func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *C
 		// hypothesis covers (otherwise it is a worse explanation) and
 		// strictly reduce mispredictions to be worth reporting.
 		if cov >= cd.TFSF && tpsf < cd.TPSF {
-			fits = append(fits, fit{aggr: a, covered: cov, tpsf: tpsf})
+			fits = append(fits, bridgeModelFit{aggr: a, covered: cov, tpsf: tpsf})
 		}
 	}
 	sort.Slice(fits, func(i, j int) bool {
@@ -108,45 +108,34 @@ func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *C
 		return fits[i].aggr < fits[j].aggr
 	})
 	const maxBridgeModels = 3
-	for i, f := range fits {
-		if i >= maxBridgeModels {
-			break
-		}
+	fits = fits[:min(len(fits), maxBridgeModels)]
+	for _, f := range fits {
 		cd.Models = append(cd.Models, Model{Kind: BridgeModel, Aggressor: f.aggr, Mispredictions: f.tpsf})
-		accepted.Inc()
 	}
+	accepted.Add(int64(len(fits)))
 	// Keep the best-fitting model first.
 	sort.SliceStable(cd.Models, func(i, j int) bool {
 		return cd.Models[i].Mispredictions < cd.Models[j].Mispredictions
 	})
-	if rec.Enabled() {
-		// Report the refined model list in ranked order, carrying the
-		// bridgeFit coverage statistic for each accepted aggressor.
-		covByAggr := make(map[netlist.NetID]int, len(fits))
-		for _, f := range fits {
-			covByAggr[f.aggr] = f.covered
-		}
-		mf := make([]explain.ModelFit, 0, len(cd.Models))
-		for _, m := range cd.Models {
-			switch m.Kind {
-			case BridgeModel:
-				mf = append(mf, explain.ModelFit{Kind: m.Kind.String(),
-					Aggressor: c.NameOf(m.Aggressor), Covered: covByAggr[m.Aggressor], Mispred: m.Mispredictions})
-			default:
-				mf = append(mf, explain.ModelFit{Kind: m.Kind.String(),
-					Covered: cd.TFSF, Mispred: m.Mispredictions})
-			}
-		}
-		rec.Refine(cd.Fault.String(), cd.Name(c), mf, explain.VerdictScored)
-	}
+	return fits
 }
 
-// stuckModelFit renders a candidate's models as explain fit records when
-// no bridge search ran (the seed stuck/open model only).
-func stuckModelFit(cd *Candidate) []explain.ModelFit {
+// modelFits renders a member's models, in ranked order, as recorder fit
+// records: a bridge model carries its bridgeFit coverage (from bridges),
+// the stuck/open model the member's TFSF.
+func modelFits(c *netlist.Circuit, cd *Candidate, bridges []bridgeModelFit) []explain.ModelFit {
 	mf := make([]explain.ModelFit, 0, len(cd.Models))
 	for _, m := range cd.Models {
-		mf = append(mf, explain.ModelFit{Kind: m.Kind.String(), Covered: cd.TFSF, Mispred: m.Mispredictions})
+		fit := explain.ModelFit{Kind: m.Kind.String(), Covered: cd.TFSF, Mispred: m.Mispredictions}
+		if m.Kind == BridgeModel {
+			fit.Aggressor = c.NameOf(m.Aggressor)
+			for _, b := range bridges {
+				if b.aggr == m.Aggressor {
+					fit.Covered = b.covered
+				}
+			}
+		}
+		mf = append(mf, fit)
 	}
 	return mf
 }
@@ -177,12 +166,14 @@ func bridgeAggressors(c *netlist.Circuit, victim netlist.NetID, cfg Config) []ne
 }
 
 // bridgeFit simulates a dominant bridge (victim ← aggressor) over the test
-// set and returns (covered evidence bits, mispredicted bits). The forced
-// victim value per packed word is the aggressor's fault-free word, which is
-// exactly the dominant-bridge semantics. The packed PI vectors come from
-// the fault simulator's construction-time packing (no re-pack per
-// hypothesis); force is caller scratch reused across aggressors.
-func bridgeFit(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, victim, aggressor netlist.NetID, evIndex map[EvidenceBit]int, force map[netlist.NetID]logic.PV64) (covered, tpsf int) {
+// set and returns (covered evidence bits, mispredicted bits); a predicted
+// failure the tester never observed (ev's evUnknown) counts as neither.
+// The forced victim value per packed word is the aggressor's fault-free
+// word, which is exactly the dominant-bridge semantics. The packed PI
+// vectors come from the fault simulator's construction-time packing (no
+// re-pack per hypothesis); force is caller scratch reused across
+// aggressors.
+func bridgeFit(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, victim, aggressor netlist.NetID, ev *evLookup, force map[netlist.NetID]logic.PV64) (covered, tpsf int) {
 	pats := fs.Patterns()
 	for base := 0; base < len(pats); base += logic.W {
 		// Aggressor fault-free word comes from the cached good simulation.
@@ -202,10 +193,12 @@ func bridgeFit(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, victim, 
 					break
 				}
 				if diff>>slot&1 == 1 {
-					if _, ok := evIndex[EvidenceBit{Pattern: p, PO: i}]; ok {
-						covered++
-					} else {
+					switch ev.get(p, i) {
+					case evPassing:
 						tpsf++
+					case evUnknown:
+					default:
+						covered++
 					}
 				}
 			}

@@ -104,7 +104,7 @@ func TestOneTaxonomyThreeSinks(t *testing.T) {
 				}
 			}
 			return err
-		}, paths("diagnose_batch", append([]string{"goodsim", "extract", "score", "score/fsim.parallel"}, finish...))},
+		}, paths("diagnose_batch", append([]string{"evidence", "goodsim", "extract", "score", "score/fsim.parallel"}, finish...))},
 	}
 	for _, tc := range runs {
 		run := tc.run

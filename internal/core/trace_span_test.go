@@ -132,7 +132,7 @@ func TestDiagnoseBatchEmitsSpanTree(t *testing.T) {
 	for _, s := range rec.Spans {
 		names[s.Name]++
 	}
-	if names["extract"] != 2 || names["cover"] != 2 || names["score"] != 1 {
+	if names["evidence"] != 2 || names["extract"] != 2 || names["cover"] != 2 || names["score"] != 1 {
 		t.Fatalf("batch span census wrong: %v", names)
 	}
 	if names["fsim.worker"] == 0 {

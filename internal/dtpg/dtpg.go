@@ -232,7 +232,15 @@ type LoopResult struct {
 // multiplet alternatives), generates distinguishing patterns, re-tests the
 // device through apply, merges the new evidence and re-diagnoses — until
 // the resolution stops improving or cfg.MaxRounds is reached.
+//
+// Both the datalog and every re-test must be complete: the new patterns go
+// after the original ones, and a truncated datalog leaves every pattern
+// from its cut to its end unobserved, so it cannot hold fully observed
+// patterns behind the cut. A truncated datalog is an error.
 func ImproveResolution(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog, apply TesterFunc, dcfg core.Config, cfg Config) (*LoopResult, error) {
+	if log.Truncated {
+		return nil, fmt.Errorf("dtpg: datalog truncated at pattern %d; the loop needs a complete datalog", log.TruncatedAfter)
+	}
 	cfg.fill()
 	curPats := append([]sim.Pattern(nil), pats...)
 	curLog := cloneDatalog(log)
@@ -262,6 +270,9 @@ func ImproveResolution(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datal
 		if extra.NumPatterns != len(newPats) || extra.NumPOs != curLog.NumPOs {
 			return nil, fmt.Errorf("dtpg: tester returned %d-pattern/%d-PO datalog, want %d/%d",
 				extra.NumPatterns, extra.NumPOs, len(newPats), curLog.NumPOs)
+		}
+		if extra.Truncated {
+			return nil, fmt.Errorf("dtpg: tester returned a datalog truncated at pattern %d", extra.TruncatedAfter)
 		}
 		base := len(curPats)
 		curPats = append(curPats, newPats...)

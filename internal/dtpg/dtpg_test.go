@@ -236,20 +236,19 @@ func TestDistinguishingAgreesWithSyndromes(t *testing.T) {
 	}
 }
 
-// TestImproveResolutionRunsRounds reproduces a known-ambiguous case (the
-// examples/resolution configuration) so the loop actually executes: a
-// 500-gate circuit, five random patterns, one stuck defect whose initial
-// diagnosis carries an equivalence class that one distinguishing pattern
-// splits.
-func TestImproveResolutionRunsRounds(t *testing.T) {
-	c, err := circuits.Generate(circuits.GenConfig{
+// demo500 is the examples/resolution configuration: a 500-gate circuit,
+// five random patterns and one stuck defect, with the device's datalog.
+func demo500(t *testing.T) (c, device *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) {
+	t.Helper()
+	var err error
+	c, err = circuits.Generate(circuits.GenConfig{
 		Name: "demo500", Seed: 500, NumPIs: 20, NumGates: 500, NumPOs: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(8))
-	pats := make([]sim.Pattern, 5)
+	pats = make([]sim.Pattern, 5)
 	for i := range pats {
 		p := make(sim.Pattern, len(c.PIs))
 		for j := range p {
@@ -261,17 +260,27 @@ func TestImproveResolutionRunsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	device, err := defect.Inject(c, ds)
+	device, err = defect.Inject(c, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := tester.ApplyTest(c, device, pats)
+	log, err = tester.ApplyTest(c, device, pats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(log.Fails) == 0 {
 		t.Skip("not activated")
 	}
+	return c, device, pats, log
+}
+
+// TestImproveResolutionRunsRounds reproduces a known-ambiguous case (the
+// examples/resolution configuration) so the loop actually executes: a
+// 500-gate circuit, five random patterns, one stuck defect whose initial
+// diagnosis carries an equivalence class that one distinguishing pattern
+// splits.
+func TestImproveResolutionRunsRounds(t *testing.T) {
+	c, device, pats, log := demo500(t)
 	apply := func(extra []sim.Pattern) (*tester.Datalog, error) {
 		return tester.ApplyTest(c, device, extra)
 	}
@@ -293,41 +302,47 @@ func TestImproveResolutionRunsRounds(t *testing.T) {
 // TestImproveResolutionTesterMismatch: a tester returning a malformed
 // datalog must surface as an error, not corrupt the merge.
 func TestImproveResolutionTesterMismatch(t *testing.T) {
-	c, err := circuits.Generate(circuits.GenConfig{
-		Name: "demo500", Seed: 500, NumPIs: 20, NumGates: 500, NumPOs: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(8))
-	pats := make([]sim.Pattern, 5)
-	for i := range pats {
-		p := make(sim.Pattern, len(c.PIs))
-		for j := range p {
-			p[j] = logic.FromBool(r.Intn(2) == 1)
-		}
-		pats[i] = p
-	}
-	ds, err := defect.Sample(c, defect.CampaignConfig{Seed: 5, NumDefects: 1, MixStuck: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	device, err := defect.Inject(c, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, err := tester.ApplyTest(c, device, pats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(log.Fails) == 0 {
-		t.Skip("not activated")
-	}
+	c, _, pats, log := demo500(t)
 	bad := func(extra []sim.Pattern) (*tester.Datalog, error) {
 		return &tester.Datalog{NumPatterns: len(extra) + 1, NumPOs: len(c.POs)}, nil
 	}
 	lr, err := ImproveResolution(c, pats, log, bad, core.Config{}, Config{Seed: 9})
 	if err == nil && lr.Rounds > 0 {
 		t.Fatal("malformed tester datalog accepted")
+	}
+}
+
+// TestImproveResolutionRejectsTruncated: the loop appends fully observed
+// patterns after the original ones, which a truncated datalog, unobserved
+// from its cut to its end, cannot hold. A truncated datalog is refused
+// before the tester is called, and so is a truncated re-test.
+func TestImproveResolutionRejectsTruncated(t *testing.T) {
+	c, device, pats, log := demo500(t)
+	cut := log.Truncate(1)
+	if !cut.Truncated {
+		t.Fatalf("a 1-bit fail memory kept all of %v", log.Fails)
+	}
+	retests := 0
+	apply := func(extra []sim.Pattern) (*tester.Datalog, error) {
+		retests++
+		return tester.ApplyTest(c, device, extra)
+	}
+	if _, err := ImproveResolution(c, pats, cut, apply, core.Config{}, Config{Seed: 9}); err == nil || retests != 0 {
+		t.Fatalf("truncated datalog: err %v after %d re-tests, want an error before any", err, retests)
+	}
+	truncatedRetest := func(extra []sim.Pattern) (*tester.Datalog, error) {
+		retests++
+		d, err := tester.ApplyTest(c, device, extra)
+		if err == nil {
+			d.Truncated, d.TruncatedAfter = true, 0
+		}
+		return d, err
+	}
+	_, err := ImproveResolution(c, pats, log, truncatedRetest, core.Config{}, Config{Seed: 9})
+	if retests == 0 {
+		t.Skip("configuration no longer ambiguous")
+	}
+	if err == nil {
+		t.Fatal("truncated re-test accepted")
 	}
 }

@@ -54,9 +54,9 @@ type response struct {
 // whatever else is already queued; only if that found company does it
 // linger (up to MaxWait) for stragglers. An isolated request therefore
 // pays zero added latency, while a burst coalesces into one
-// core.DiagnoseBatch scoring pass. Explained requests run solo — the
-// flight recorder narrates exactly one diagnosis — and are set aside
-// during batch assembly.
+// core.DiagnoseBatch scoring pass. Explained requests run as batches of
+// one — the flight recorder narrates exactly one diagnosis — and are set
+// aside during batch assembly.
 func (s *Server) batcher(w *workload) {
 	defer s.batchers.Done()
 	for {
@@ -121,9 +121,11 @@ func (s *Server) batcher(w *workload) {
 	}
 }
 
-// execute runs one scoring pass over the batch, panic-isolated: a panic
-// in the engine answers this batch's requests with 500 and leaves the
-// batcher alive for the next one.
+// execute runs the batch as one core.DiagnoseBatch call, panic-isolated:
+// a panic in the engine answers this batch's requests with 500 and leaves
+// the batcher alive for the next one. The call runs under a context that
+// stays live while any member still wants its answer. An explained
+// request is always alone in its batch and carries the flight recorder.
 func (s *Server) execute(w *workload, batch []*request) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -168,77 +170,29 @@ func (s *Server) execute(w *workload, batch []*request) {
 		SharedSim: w.sim,
 		Trace:     s.tr,
 	}
-	start := time.Now()
-	if len(live) == 1 {
-		s.executeOne(w, live[0], cfg)
-	} else {
-		s.executeBatch(w, live, cfg)
-	}
-	// The batch's service time is exemplified by the leader's trace — the
-	// tree the coalesced engine spans landed in.
-	s.reg.Histogram("serve.service_us").ObserveNEx(time.Since(start).Microseconds(), int64(len(live)), exemplarID(live[0]))
-}
-
-// exemplarID renders a request's trace ID for histogram exemplars, empty
-// when tracing is off (which degrades ObserveEx to a plain Observe).
-func exemplarID(r *request) string {
-	if r.tree == nil {
-		return ""
-	}
-	return r.tree.TraceID().String()
-}
-
-// executeOne serves a solo request, optionally with the flight recorder
-// attached for an inline narrative.
-func (s *Server) executeOne(w *workload, r *request, cfg core.Config) {
 	var rec *explain.Recorder
-	if r.explain {
+	if live[0].explain {
 		rec = explain.New("serve/" + w.name)
 		cfg.Explain = rec
 	}
-	esp := r.span.Start("serve.execute")
-	pctx, unlabel := prof.WithWorkload(r.ctx, w.name)
-	res, err := core.DiagnoseCtx(trace.WithSpan(pctx, esp), w.c, w.pats, r.log, cfg)
-	unlabel()
-	esp.End()
-	var events []explain.Event
-	if rec != nil {
-		events, _ = rec.Events()
-	}
-	if err != nil {
-		r.done <- response{status: engineStatus(err), err: err, events: events}
-		return
-	}
-	rep := s.buildResponse(w, r, res, 1)
-	if rec != nil {
-		var b strings.Builder
-		if err := explain.RenderNarrative(&b, events, 10); err == nil {
-			rep.Explain = b.String()
-		}
-	}
-	r.done <- response{report: rep, status: http.StatusOK, events: events}
-}
-
-// executeBatch coalesces the batch into one core.DiagnoseBatch pass under
-// a context that stays live while any member still wants its answer.
-func (s *Server) executeBatch(w *workload, batch []*request, cfg core.Config) {
-	logs := make([]*tester.Datalog, len(batch))
-	for i, r := range batch {
+	logs := make([]*tester.Datalog, len(live))
+	for i, r := range live {
 		logs[i] = r.log
 	}
-	ctx, cancel := mergedContext(batch)
+	start := time.Now()
+	ctx, cancel := mergedContext(live)
 	defer cancel()
-	// Coalesced engine spans land in ONE tree — the leader's (batch[0]) —
-	// under its "serve.execute" span; a multi-tree tee would double-count
-	// every phase. Followers get a "serve.execute.coalesced" span carrying
-	// the leader's trace ID, so their trees point at where the engine time
-	// is attributed.
-	leader := batch[0]
+	// The engine spans land in ONE tree — the leader's (live[0]) — under
+	// its "serve.execute" span; a multi-tree tee would double-count every
+	// phase. Followers get a "serve.execute.coalesced" span carrying the
+	// leader's trace ID, so their trees point at where the engine time is
+	// attributed.
+	leader := live[0]
 	esp := leader.span.Start("serve.execute")
-	esp.SetInt("batch_size", int64(len(batch)))
-	for _, r := range batch[1:] {
+	esp.SetInt("batch_size", int64(len(live)))
+	for _, r := range live[1:] {
 		fsp := r.span.Start("serve.execute.coalesced")
-		fsp.SetInt("batch_size", int64(len(batch)))
+		fsp.SetInt("batch_size", int64(len(live)))
 		if leader.tree != nil {
 			fsp.SetStr("leader_trace", leader.tree.TraceID().String())
 		}
@@ -248,19 +202,43 @@ func (s *Server) executeBatch(w *workload, batch []*request, cfg core.Config) {
 	results, errs, err := core.DiagnoseBatch(trace.WithSpan(pctx, esp), w.c, w.pats, logs, cfg)
 	unlabel()
 	esp.End()
-	for i, r := range batch {
+	var events []explain.Event
+	if rec != nil {
+		events, _ = rec.Events()
+	}
+	for i, r := range live {
+		rerr := errs[i]
+		if rerr == nil {
+			rerr = err // a whole-batch failure (cancellation) answers every member
+		}
 		switch {
-		case err != nil && results[i] == nil && errs[i] == nil:
-			// Whole-batch failure (cancellation) before this member's turn.
-			r.done <- response{status: engineStatus(err), err: err}
-		case errs[i] != nil:
-			r.done <- response{status: engineStatus(errs[i]), err: errs[i]}
+		case rerr != nil:
+			r.done <- response{status: engineStatus(rerr), err: rerr, events: events}
 		case results[i] != nil:
-			r.done <- response{report: s.buildResponse(w, r, results[i], len(batch)), status: http.StatusOK}
+			rep := s.buildResponse(w, r, results[i], len(live))
+			if rec != nil {
+				var b strings.Builder
+				if err := explain.RenderNarrative(&b, events, 10); err == nil {
+					rep.Explain = b.String()
+				}
+			}
+			r.done <- response{report: rep, status: http.StatusOK, events: events}
 		default:
 			r.done <- response{status: http.StatusInternalServerError, err: fmt.Errorf("no result for batch member %d", i)}
 		}
 	}
+	// The batch's service time is exemplified by the leader's trace — the
+	// tree the engine spans landed in.
+	s.reg.Histogram("serve.service_us").ObserveNEx(time.Since(start).Microseconds(), int64(len(live)), exemplarID(leader))
+}
+
+// exemplarID renders a request's trace ID for histogram exemplars, empty
+// when tracing is off (which degrades ObserveEx to a plain Observe).
+func exemplarID(r *request) string {
+	if r.tree == nil {
+		return ""
+	}
+	return r.tree.TraceID().String()
 }
 
 func (s *Server) buildResponse(w *workload, r *request, res *core.Result, batchSize int) *Report {
@@ -299,8 +277,12 @@ func isCanceled(err error) bool {
 // mergedContext derives a context canceled once every member context is
 // done (or when the returned cancel runs): a straggler canceling its
 // request must not kill the scoring pass the rest of the batch is
-// waiting on, but a fully abandoned batch should stop simulating.
+// waiting on, but a fully abandoned batch should stop simulating. A lone
+// request runs under its own context.
 func mergedContext(batch []*request) (context.Context, context.CancelFunc) {
+	if len(batch) == 1 {
+		return batch[0].ctx, func() {}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var remaining atomic.Int64
 	remaining.Store(int64(len(batch)))

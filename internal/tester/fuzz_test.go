@@ -36,6 +36,9 @@ func FuzzReadDatalog(f *testing.F) {
 		"patterns 4\npos 2\nfail 3 0\npatterns 2\n",
 		"patterns 4\npos 2\nfail 3 1\npos 1\n",
 		"# datalog for\n# x\npatterns 1\npos 1\n",
+		"patterns 4\npos 2\ntruncated -7\n",
+		"truncated 1000000000\npatterns 4\npos 2\n",
+		"patterns 4\npos 2\ntruncated 1\ntruncated 2\n",
 	} {
 		f.Add(s)
 	}

@@ -32,10 +32,12 @@ type Datalog struct {
 	// Fails maps failing pattern index → failing PO set.
 	Fails map[int]bitset.Set
 	// Truncated is true when fail collection stopped early (fail-memory
-	// full); patterns after the truncation point have unknown status.
+	// full).
 	Truncated bool
-	// TruncatedAfter is the last pattern index with trustworthy status when
-	// Truncated is set.
+	// TruncatedAfter is, when Truncated is set, the pattern at which
+	// collection stopped. Its recorded fails are real, but Truncate may
+	// have captured it only in part: its unrecorded outputs and every later
+	// pattern have unknown status. Earlier patterns are fully observed.
 	TruncatedAfter int
 }
 
@@ -201,7 +203,9 @@ const maxCount = 1 << 20
 
 // ReadDatalog parses the WriteDatalog format. The patterns and pos
 // declarations are required, appear once each and must lie in [1, 2^20];
-// repeated fail lines for one pattern union their POs.
+// repeated fail lines for one pattern union their POs. An optional single
+// truncated line, anywhere in the file, must name a pattern in
+// [0, patterns).
 func ReadDatalog(r io.Reader) (*Datalog, error) { return ReadDatalogFor(r, 0, 0) }
 
 // ReadDatalogFor is ReadDatalog for a known workload: a patterns or pos
@@ -212,7 +216,7 @@ func ReadDatalogFor(r io.Reader, numPatterns, numPOs int) (*Datalog, error) {
 	d := &Datalog{Fails: make(map[int]bitset.Set)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	line := 0
+	line, truncLine := 0, 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -236,8 +240,10 @@ func ReadDatalogFor(r io.Reader, numPatterns, numPOs int) (*Datalog, error) {
 				return nil, fmt.Errorf("tester: line %d: %v", line, err)
 			}
 			if fields[0] == "truncated" {
-				d.Truncated = true
-				d.TruncatedAfter = n
+				if d.Truncated {
+					return nil, fmt.Errorf("tester: line %d: truncated declared twice", line)
+				}
+				d.Truncated, d.TruncatedAfter, truncLine = true, n, line
 				continue
 			}
 			count, want := &d.NumPatterns, numPatterns
@@ -288,6 +294,9 @@ func ReadDatalogFor(r io.Reader, numPatterns, numPOs int) (*Datalog, error) {
 	}
 	if d.NumPOs == 0 {
 		return nil, fmt.Errorf("tester: datalog missing pos declaration")
+	}
+	if d.Truncated && (d.TruncatedAfter < 0 || d.TruncatedAfter >= d.NumPatterns) {
+		return nil, fmt.Errorf("tester: line %d: truncated %d out of range [0,%d)", truncLine, d.TruncatedAfter, d.NumPatterns)
 	}
 	return d, nil
 }

@@ -192,10 +192,31 @@ func TestReadDatalogErrors(t *testing.T) {
 		"missing pos":       "patterns 4\n",
 		// A second declaration would strand the fails parsed under the first.
 		"patterns twice": "patterns 4\npos 2\nfail 3 0\npatterns 2\n",
+		// The cut must name a pattern, and only one.
+		"negative truncated": "patterns 4\npos 2\ntruncated -7\n",
+		"truncated past end": "truncated 1000000000\npatterns 4\npos 2\n",
+		"truncated twice":    "patterns 4\npos 2\ntruncated 1\ntruncated 2\n",
 	}
 	for name, src := range cases {
 		if _, err := ReadDatalog(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadDatalogTruncatedRange: the cut may be any pattern, first or
+// last, and may precede the declarations it is checked against.
+func TestReadDatalogTruncatedRange(t *testing.T) {
+	for src, want := range map[string]int{
+		"truncated 3\npatterns 4\npos 2\n":           3,
+		"patterns 4\npos 2\nfail 0 1\ntruncated 0\n": 0,
+	} {
+		d, err := ReadDatalog(strings.NewReader(src))
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if !d.Truncated || d.TruncatedAfter != want {
+			t.Errorf("%q: truncated=%v after %d, want after %d", src, d.Truncated, d.TruncatedAfter, want)
 		}
 	}
 }

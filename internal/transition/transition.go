@@ -86,16 +86,30 @@ type Pair struct {
 // value; the capture pattern must both request the transition and
 // propagate the late value.
 func Detects(c *netlist.Circuit, pr Pair, f Fault) (bitset.Set, error) {
-	v1, err := sim.EvalScalar(c, pr.Launch, nil)
+	launch, good, err := pairValues(c, pr)
 	if err != nil {
 		return nil, err
 	}
-	if v1[f.Net] != f.launchValue() {
+	return detectAt(c, pr, f, launch, good)
+}
+
+// pairValues simulates the pair fault-free: its launch values and its
+// capture values.
+func pairValues(c *netlist.Circuit, pr Pair) (launch, good []logic.Value, err error) {
+	if launch, err = sim.EvalScalar(c, pr.Launch, nil); err != nil {
+		return nil, nil, err
+	}
+	if good, err = sim.EvalScalar(c, pr.Capture, nil); err != nil {
+		return nil, nil, err
+	}
+	return launch, good, nil
+}
+
+// detectAt is Detects given the pair's pairValues, for callers that try
+// many faults on one pair: only the forced capture is simulated per fault.
+func detectAt(c *netlist.Circuit, pr Pair, f Fault, launch, good []logic.Value) (bitset.Set, error) {
+	if launch[f.Net] != f.launchValue() {
 		return nil, nil // transition not launched
-	}
-	good, err := sim.EvalScalar(c, pr.Capture, nil)
-	if err != nil {
-		return nil, err
 	}
 	if good[f.Net] != f.launchValue().Not() {
 		return nil, nil // no transition requested at the site
@@ -104,6 +118,12 @@ func Detects(c *netlist.Circuit, pr Pair, f Fault) (bitset.Set, error) {
 	if err != nil {
 		return nil, err
 	}
+	return captureFails(c, good, bad), nil
+}
+
+// captureFails returns the POs where the faulty capture values bad differ
+// from the fault-free good ones (both known), nil when there are none.
+func captureFails(c *netlist.Circuit, good, bad []logic.Value) bitset.Set {
 	var fails bitset.Set
 	for i, po := range c.POs {
 		if good[po].IsKnown() && bad[po].IsKnown() && good[po] != bad[po] {
@@ -113,7 +133,7 @@ func Detects(c *netlist.Circuit, pr Pair, f Fault) (bitset.Set, error) {
 			fails.Add(i)
 		}
 	}
-	return fails, nil
+	return fails
 }
 
 // GenerateConfig tunes transition ATPG.
@@ -179,9 +199,13 @@ func Generate(c *netlist.Circuit, cfg GenerateConfig) (*GenerateResult, error) {
 		return p
 	}
 	tryPair := func(pr Pair) error {
+		launch, good, err := pairValues(c, pr)
+		if err != nil {
+			return err
+		}
 		useful := false
 		for fi := range remaining {
-			fails, err := Detects(c, pr, universe[fi])
+			fails, err := detectAt(c, pr, universe[fi], launch, good)
 			if err != nil {
 				return err
 			}
@@ -269,11 +293,7 @@ func ApplyTest(c *netlist.Circuit, slow []SlowNet, pairs []Pair) (*tester.Datalo
 		Fails:       map[int]bitset.Set{},
 	}
 	for pi, pr := range pairs {
-		v1, err := sim.EvalScalar(c, pr.Launch, nil)
-		if err != nil {
-			return nil, err
-		}
-		good, err := sim.EvalScalar(c, pr.Capture, nil)
+		v1, good, err := pairValues(c, pr)
 		if err != nil {
 			return nil, err
 		}
@@ -291,13 +311,8 @@ func ApplyTest(c *netlist.Circuit, slow []SlowNet, pairs []Pair) (*tester.Datalo
 		if err != nil {
 			return nil, err
 		}
-		for i, po := range c.POs {
-			if good[po].IsKnown() && bad[po].IsKnown() && good[po] != bad[po] {
-				if d.Fails[pi] == nil {
-					d.Fails[pi] = bitset.New(len(c.POs))
-				}
-				d.Fails[pi].Add(i)
-			}
+		if fails := captureFails(c, good, bad); fails != nil {
+			d.Fails[pi] = fails
 		}
 	}
 	return d, nil
@@ -338,12 +353,11 @@ func (r *Result) MultipletNets() [][]netlist.NetID {
 }
 
 // Diagnose locates slow nets from a two-pattern datalog. Extraction is
-// the delay-specific part: per-failing-output CPT on the capture pattern,
-// keeping only the critical nets that transition between launch and
-// capture, and every candidate's syndrome is its full-pair detection
-// behaviour (Detects). Scoring, equivalence classes, the greedy cover and
-// the ranking are core.Select's, run on the capture-equivalent stuck-at
-// faults.
+// the delay-specific part (see extractSeeds), and every candidate's
+// syndrome is its full-pair detection behaviour (what Detects reports,
+// with the launch and fault-free capture simulations run once per pair).
+// Scoring, equivalence classes, the greedy cover and the ranking are
+// core.Select's, run on the capture-equivalent stuck-at faults.
 func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda float64, maxMultiplet int) (res *Result, err error) {
 	sp := obs.Global().Span("transition.diagnose")
 	defer func() {
@@ -354,51 +368,22 @@ func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda floa
 	if log.NumPatterns != len(pairs) {
 		return nil, fmt.Errorf("transition: datalog has %d pairs, test set has %d", log.NumPatterns, len(pairs))
 	}
-	// Extraction: transitioning critical nets on failing pairs.
-	cpt := fsim.NewCPT(c)
-	seen := map[fault.StuckAt]bool{}
-	var seeds []fault.StuckAt
-	for _, p := range log.FailingPatterns() {
-		pr := pairs[p]
-		v1, err := sim.EvalScalar(c, pr.Launch, nil)
-		if err != nil {
+	launch := make([][]logic.Value, len(pairs))
+	capture := make([][]logic.Value, len(pairs))
+	for p, pr := range pairs {
+		if launch[p], capture[p], err = pairValues(c, pr); err != nil {
 			return nil, err
-		}
-		pos := make([]netlist.NetID, 0, log.Fails[p].Count())
-		for _, poIdx := range log.Fails[p].Members() {
-			pos = append(pos, c.POs[poIdx])
-		}
-		union, _, v2, err := cpt.CriticalForOutputs(pr.Capture, pos)
-		if err != nil {
-			return nil, err
-		}
-		for id, cr := range union {
-			if !cr {
-				continue
-			}
-			n := netlist.NetID(id)
-			if !v1[n].IsKnown() || !v2[n].IsKnown() || v1[n] == v2[n] {
-				continue // no transition at the site: a delay cannot explain it
-			}
-			f := Fault{Net: n, Rise: v2[n] == logic.One}.asStuck()
-			if !seen[f] {
-				seen[f] = true
-				seeds = append(seeds, f)
-			}
 		}
 	}
-	// (net, stuck-at-0 first) is (net, slow-to-rise first).
-	sort.Slice(seeds, func(i, j int) bool {
-		if seeds[i].Net != seeds[j].Net {
-			return seeds[i].Net < seeds[j].Net
-		}
-		return !seeds[i].Value1 && seeds[j].Value1
-	})
+	seeds, err := extractSeeds(c, pairs, log, launch)
+	if err != nil {
+		return nil, err
+	}
 	syns := make([]*fsim.Syndrome, len(seeds))
-	for i, f := range seeds {
+	for i, s := range seeds {
 		syns[i] = fsim.NewSyndrome(len(pairs), len(c.POs))
-		for p := range pairs {
-			if syns[i].Fails[p], err = Detects(c, pairs[p], fromStuck(f)); err != nil {
+		for p, pr := range pairs {
+			if syns[i].Fails[p], err = detectAt(c, pr, fromStuck(s), launch[p], capture[p]); err != nil {
 				return nil, err
 			}
 		}
@@ -414,4 +399,49 @@ func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda floa
 	}
 	res.Multiplet = res.Ranked[:len(cr.Multiplet)] // the ranking leads with the multiplet
 	return res, nil
+}
+
+// extractSeeds is the delay front end: per-failing-output CPT on each
+// failing pair's capture pattern, keeping only the critical nets that
+// transition between launch and capture (a delay cannot explain a failure
+// through a net that holds its value). Each such net yields the
+// capture-equivalent stuck-at of the transition it makes; the seeds come
+// back sorted by (net, stuck-at-0 first), which is (net, slow-to-rise
+// first). launch[p] holds pair p's fault-free launch values.
+func extractSeeds(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, launch [][]logic.Value) ([]fault.StuckAt, error) {
+	cpt := fsim.NewCPT(c)
+	seen := map[fault.StuckAt]bool{}
+	var seeds []fault.StuckAt
+	for _, p := range log.FailingPatterns() {
+		pos := make([]netlist.NetID, 0, log.Fails[p].Count())
+		for _, poIdx := range log.Fails[p].Members() {
+			pos = append(pos, c.POs[poIdx])
+		}
+		union, _, v2, err := cpt.CriticalForOutputs(pairs[p].Capture, pos)
+		if err != nil {
+			return nil, err
+		}
+		v1 := launch[p]
+		for id, cr := range union {
+			if !cr {
+				continue
+			}
+			n := netlist.NetID(id)
+			if !v1[n].IsKnown() || !v2[n].IsKnown() || v1[n] == v2[n] {
+				continue // no transition at the site: a delay cannot explain it
+			}
+			f := Fault{Net: n, Rise: v2[n] == logic.One}.asStuck()
+			if !seen[f] {
+				seen[f] = true
+				seeds = append(seeds, f)
+			}
+		}
+	}
+	sort.Slice(seeds, func(i, j int) bool {
+		if seeds[i].Net != seeds[j].Net {
+			return seeds[i].Net < seeds[j].Net
+		}
+		return !seeds[i].Value1 && seeds[j].Value1
+	})
+	return seeds, nil
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"multidiag/internal/circuits"
+	"multidiag/internal/fault"
+	"multidiag/internal/fsim"
 	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
 	"multidiag/internal/sim"
@@ -318,5 +320,86 @@ func TestPairSerialization(t *testing.T) {
 	ok, err := ReadPairs(strings.NewReader("# c\n\n10|01\n"))
 	if err != nil || len(ok) != 1 {
 		t.Fatalf("comment handling: %v %d", err, len(ok))
+	}
+}
+
+// TestExtractSeeds pins the delay front end against its definition on
+// double slow-net devices of a 6-bit adder: the seeds are exactly the
+// transitions, between launch and capture, of the nets that brute-force
+// flipping finds critical for some failing output of some failing pair,
+// sorted by (net, slow-to-rise first).
+func TestExtractSeeds(t *testing.T) {
+	c, err := circuits.RippleAdder(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := Generate(c, GenerateConfig{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := make([][]logic.Value, len(gen.Pairs))
+	capture := make([][]logic.Value, len(gen.Pairs))
+	for p, pr := range gen.Pairs {
+		if launch[p], err = sim.EvalScalar(c, pr.Launch, nil); err != nil {
+			t.Fatal(err)
+		}
+		if capture[p], err = sim.EvalScalar(c, pr.Capture, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rand.New(rand.NewSource(4))
+	runs, held := 0, 0 // held counts critical nets without a transition
+	for trial := 0; trial < 10; trial++ {
+		a := netlist.NetID(r.Intn(c.NumGates()))
+		b := netlist.NetID(r.Intn(c.NumGates()))
+		log, err := ApplyTest(c, []SlowNet{{Net: a}, {Net: b}}, gen.Pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log.Fails) == 0 {
+			continue
+		}
+		runs++
+		want := map[fault.StuckAt]bool{}
+		for _, p := range log.FailingPatterns() {
+			v1, v2 := launch[p], capture[p]
+			for _, po := range log.Fails[p].Members() {
+				crit, err := fsim.BruteForceCritical(c, gen.Pairs[p].Capture, c.POs[po])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n, cr := range crit {
+					switch {
+					case !cr:
+					case v1[n] == v2[n]:
+						held++
+					default:
+						want[Fault{Net: netlist.NetID(n), Rise: v2[n] == logic.One}.asStuck()] = true
+					}
+				}
+			}
+		}
+		seeds, err := extractSeeds(c, gen.Pairs, log, launch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seeds) != len(want) {
+			t.Fatalf("trial %d: %d seeds, want %d", trial, len(seeds), len(want))
+		}
+		for i, s := range seeds {
+			if !want[s] {
+				t.Fatalf("trial %d: seed %s is not a transition of a critical net", trial, fromStuck(s).Name(c))
+			}
+			if i > 0 {
+				prev := seeds[i-1]
+				if prev.Net > s.Net || prev.Net == s.Net && (prev.Value1 || !s.Value1) {
+					t.Fatalf("trial %d: seed %s before %s, want (net, slow-to-rise first) order",
+						trial, fromStuck(prev).Name(c), fromStuck(s).Name(c))
+				}
+			}
+		}
+	}
+	if runs == 0 || held == 0 {
+		t.Fatalf("fixture too weak: %d activated trials, %d critical nets without a transition", runs, held)
 	}
 }

@@ -3,8 +3,11 @@
 # across every execution strategy of the parallel engine. Generates a
 # multi-defect device, then diffs `mddiag` output across worker counts
 # (-j 1/4/8) and cone-cache states (uncached vs a warm cache), against
-# the sequential uncached report as reference. Any diff is a determinism
-# regression in chunked scoring, parallel extraction, or cache replay.
+# the sequential uncached report as reference, and diffs the flight
+# recorder's `-explain-out` JSONL at -j 4/8 against -j 1 (extraction and
+# refinement run their worker pools with the recorder attached and emit
+# its events afterwards, in order). Any diff is a determinism regression
+# in chunked scoring, parallel extraction or refinement, or cache replay.
 # Run via `make determinism-check`.
 set -eu
 
@@ -25,7 +28,7 @@ run_mddiag() {
         | sed 's/; elapsed .*//'
 }
 
-run_mddiag -j 1 > "$WORK/ref.txt"
+run_mddiag -j 1 -explain-out "$WORK/explain1.jsonl" > "$WORK/ref.txt"
 if ! grep -q 'multiplet' "$WORK/ref.txt"; then
     echo "determinism_check: reference report looks empty" >&2
     cat "$WORK/ref.txt" >&2
@@ -34,10 +37,15 @@ fi
 
 fail=0
 for j in 4 8; do
-    run_mddiag -j "$j" > "$WORK/j$j.txt"
+    run_mddiag -j "$j" -explain-out "$WORK/explain$j.jsonl" > "$WORK/j$j.txt"
     if ! diff -u "$WORK/ref.txt" "$WORK/j$j.txt" > "$WORK/diff.txt"; then
         echo "determinism_check: -j $j report differs from -j 1:" >&2
         cat "$WORK/diff.txt" >&2
+        fail=1
+    fi
+    if ! diff -u "$WORK/explain1.jsonl" "$WORK/explain$j.jsonl" > "$WORK/diff.txt"; then
+        echo "determinism_check: -j $j explain JSONL differs from -j 1:" >&2
+        head -n 40 "$WORK/diff.txt" >&2
         fail=1
     fi
 done
@@ -53,4 +61,4 @@ done
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "determinism_check: reports bit-identical across -j 1/4/8, cached and uncached"
+echo "determinism_check: reports bit-identical across -j 1/4/8, cached and uncached; explain JSONL bit-identical across -j 1/4/8"
