@@ -39,9 +39,10 @@ lint:
 # against), and writes a schema-valid quick-suite trace to BENCH_obs.json.
 # The -bench pattern is 'Diagnose|VolumeIngest', not 'BenchmarkDiagnose':
 # the latter would silently skip BenchmarkServeDiagnose and the volume
-# ingest pair.
+# ingest pair. -cpu 1: the default-worker benchmarks run GOMAXPROCS
+# workers, so the baseline is recorded (and compared) at one CPU.
 bench: build
-	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem ./internal/core ./internal/serve ./internal/volume | tee /tmp/bench_core.txt
+	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem -cpu 1 ./internal/core ./internal/serve ./internal/volume | tee /tmp/bench_core.txt
 	$(GO) test -run xxx -bench 'BenchmarkSpan|BenchmarkCounter|BenchmarkHistogram' -benchmem ./internal/obs
 	bin/mdgate bench-parse -o BENCH_diag.json < /tmp/bench_core.txt
 	bin/mdexp -quick -seeds 1 -only T1 -trace-out BENCH_obs.json > /dev/null
@@ -51,7 +52,7 @@ bench: build
 # baseline, warning on >20% ns/op regressions; the speedup gate requires
 # dedupe to beat the no-cache baseline by ≥5× on the 90%-repeat stream.
 benchdiff: build
-	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem ./internal/core ./internal/serve ./internal/volume | bin/mdgate bench-parse -o /tmp/bench_current.json
+	$(GO) test -run xxx -bench 'Diagnose|VolumeIngest' -benchmem -cpu 1 ./internal/core ./internal/serve ./internal/volume | bin/mdgate bench-parse -o /tmp/bench_current.json
 	bin/mdgate bench BENCH_diag.json /tmp/bench_current.json
 	bin/mdgate speedup /tmp/bench_current.json -base BenchmarkVolumeIngest -target BenchmarkVolumeIngestDeduped -min 5
 

@@ -33,9 +33,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"multidiag/internal/bitset"
@@ -72,7 +71,7 @@ type Config struct {
 	DisableBridgeSearch bool
 	// ApproxCPT replaces exact critical path tracing with the classical
 	// branch-sensitivity approximation during candidate extraction
-	// (ablation only; see fsim.CriticalApproxForOutputs).
+	// (ablation only; see fsim.CriticalWord).
 	ApproxCPT bool
 	// Workers bounds the fault-parallel candidate-scoring pool: seeds are
 	// sharded across this many goroutines, each owning a forked simulator,
@@ -352,7 +351,6 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 	}
 	var devs []*device
 	var fs *fsim.FaultSim
-	var cpt *fsim.CPT
 	totalSeeds := 0
 	for i, log := range logs {
 		start := time.Now()
@@ -382,21 +380,17 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 		}
 
 		if fs == nil {
-			if fs, cpt, err = openSims(ctx, root, c, pats, cfg, reg); err != nil {
+			if fs, err = openSim(ctx, root, c, pats, cfg, reg); err != nil {
 				return results, errs, err
 			}
 		}
 		// Step 1: effect-cause candidate extraction via CPT per failing
 		// output (see extractCandidates).
 		ph = root.Open("extract")
-		seeds, err := extractCandidates(ph.Ctx(), c, cpt, pats, log, cfg.ApproxCPT, workers, rec)
+		seeds := extractCandidates(ph.Ctx(), fs, log, cfg.ApproxCPT, workers, rec)
 		ph.SetInt("device", int64(i))
 		ph.SetInt("seeds", int64(len(seeds)))
 		ph.End()
-		if err != nil {
-			results[i], errs[i] = nil, err
-			continue
-		}
 		if err := checkpoint(ctx, "extract"); err != nil {
 			return results, errs, err
 		}
@@ -513,7 +507,11 @@ func seedOf(k int) fault.StuckAt { return fault.StuckAt{Net: netlist.NetID(k / 2
 // polarity). It is Diagnose's extraction on one worker with no recorder,
 // for engines that keep the front end but change what follows it.
 func Seeds(c *netlist.Circuit, pats []sim.Pattern, log *tester.Datalog) ([]fault.StuckAt, error) {
-	return extractCandidates(context.Background(), c, fsim.NewCPT(c), pats, log, false, 1, nil)
+	fs, err := fsim.NewFaultSim(c, pats)
+	if err != nil {
+		return nil, err
+	}
+	return extractCandidates(context.Background(), fs, log, false, 1, nil), nil
 }
 
 // Select is the back half of the pipeline over syndromes the caller
@@ -573,11 +571,11 @@ func indexEvidence(res *Result, log *tester.Datalog, failing []int, reg *obs.Reg
 	return evIndex
 }
 
-// openSims builds what every diagnosis of one workload runs on: the
-// fault simulator — cfg.SharedSim when its shape matches, else a private
-// one built in the goodsim phase — observed on reg with cfg.ConeCache
-// attached, and the critical path tracer that drives extraction.
-func openSims(ctx context.Context, root prof.Phase, c *netlist.Circuit, pats []sim.Pattern, cfg Config, reg *obs.Registry) (*fsim.FaultSim, *fsim.CPT, error) {
+// openSim builds what every diagnosis of one workload runs on: the fault
+// simulator — cfg.SharedSim when its shape matches, else a private one
+// built in the goodsim phase — observed on reg with cfg.ConeCache
+// attached.
+func openSim(ctx context.Context, root prof.Phase, c *netlist.Circuit, pats []sim.Pattern, cfg Config, reg *obs.Registry) (*fsim.FaultSim, error) {
 	ph := root.Open("goodsim")
 	fs := cfg.SharedSim
 	if fs != nil && (fs.Circuit() != c || fs.NumPatterns() != len(pats)) {
@@ -589,15 +587,13 @@ func openSims(ctx context.Context, root prof.Phase, c *netlist.Circuit, pats []s
 	}
 	ph.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	fs.Observe(reg)
 	if cfg.ConeCache != nil && !fs.AttachCache(cfg.ConeCache) {
 		reg.Counter("fsim.cone_cache_rejected").Inc()
 	}
-	cpt := fsim.NewCPT(c)
-	cpt.Observe(reg)
-	return fs, cpt, checkpoint(ctx, "goodsim")
+	return fs, checkpoint(ctx, "goodsim")
 }
 
 // finishDiagnosis runs one device's post-scoring pipeline — greedy
@@ -691,159 +687,109 @@ func rank(multiplet, cands []*Candidate) []*Candidate {
 	return append(append([]*Candidate{}, multiplet...), rest...)
 }
 
-// extractJob is one failing pattern's back-trace work item.
-type extractJob struct {
-	p      int
-	pos    []netlist.NetID
-	poIdxs []int
-	err    error
-	// For a recorder: the seedBit set this trace yielded and, on the exact
-	// path, each failing output's critical nets (bit i·gates + net for
-	// pos[i]).
-	found bitset.Set
-	crit  bitset.Set
-}
-
-// extractCandidates back-traces every observed failing output with CPT and
-// returns the union of (net, stuck-at-complement) hypotheses, sorted by
-// (net, stuck-at-0 first). Patterns with X inputs are skipped for
-// extraction (they still participate in scoring).
+// extractCandidates back-traces every observed failing output of every
+// fully determinate failing pattern with CPT and returns the union of
+// (net, stuck-at-complement) hypotheses, sorted by (net, stuck-at-0
+// first). Patterns with X inputs are skipped for extraction (they still
+// participate in scoring).
 //
-// Failing patterns are independent traces, so they shard across up to
-// workers tracers (the first is cpt, on this goroutine; the rest are
-// forks). Each worker marks its hypotheses in a private seedBit set, and
-// the union read in ascending order is the sorted seed list, so it is
+// The failing patterns are traced one pattern word at a time
+// (fsim.CriticalWord, which shards the word's stem propagations across
+// up to workers simulators); each hypothesis is marked in a seedBit set,
+// read in ascending order as the sorted seed list, so the list is
 // identical at any worker count. With a recorder attached, every
-// hypothesis is attributed afterwards, on this goroutine and in pattern
-// order, to the failing bits whose back-cone yielded it — per (pattern,
-// PO) on the exact path, per pattern (PO −1) on the approximate path,
-// which only reports the per-pattern union.
-func extractCandidates(ctx context.Context, c *netlist.Circuit, cpt *fsim.CPT, pats []sim.Pattern, log *tester.Datalog, approx bool, workers int, rec *explain.Recorder) ([]fault.StuckAt, error) {
-	failing := log.FailingPatterns()
-	jobs := make([]extractJob, 0, len(failing))
-	for _, p := range failing {
-		determinate := true
-		for _, v := range pats[p] {
-			if !v.IsKnown() {
-				determinate = false
-				break
-			}
-		}
-		if !determinate {
-			continue
-		}
-		poIdxs := log.Fails[p].Members()
-		pos := make([]netlist.NetID, 0, len(poIdxs))
-		for _, poIdx := range poIdxs {
-			pos = append(pos, c.POs[poIdx])
-		}
-		jobs = append(jobs, extractJob{p: p, pos: pos, poIdxs: poIdxs})
-	}
-
-	workers = max(min(workers, len(jobs)), 1)
-	found := make([]bitset.Set, workers)
-	var next atomic.Int64
-	work := func(w int, t *fsim.CPT) {
-		found[w] = bitset.New(2 * c.NumGates())
-		prof.Worker(ctx, w, "", func(ctx context.Context, _ prof.Phase) {
-			for ctx.Err() == nil {
-				ji := int(next.Add(1)) - 1
-				if ji >= len(jobs) {
-					return
-				}
-				if jobs[ji].trace(t, pats[jobs[ji].p], approx, rec.Enabled(), found[w]) != nil {
-					return
-				}
-			}
-		})
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, t *fsim.CPT) {
-			defer wg.Done()
-			work(w, t)
-		}(w, cpt.Fork())
-	}
-	work(0, cpt)
-	wg.Wait()
-
-	for _, j := range jobs {
-		if j.err != nil {
-			return nil, j.err
+// hypothesis is attributed, in pattern order, to the failing bits whose
+// back-cone yielded it — per (pattern, PO) on the exact path, per pattern
+// (PO −1) on the approximate path.
+func extractCandidates(ctx context.Context, fs *fsim.FaultSim, log *tester.Datalog, approx bool, workers int, rec *explain.Recorder) []fault.StuckAt {
+	c := fs.Circuit()
+	traced := make([]bitset.Set, fs.NumPatterns())
+	for p, set := range log.Fails {
+		if determinate(fs.Patterns()[p]) {
+			traced[p] = set
 		}
 	}
-	for _, f := range found[1:] {
-		found[0].UnionWith(f)
-	}
-	out := seedsOf(found[0])
+	found := bitset.New(2 * c.NumGates())
+	var (
+		perPO   func(po int, crit []uint64)
+		crit    map[int][]uint64 // exact CPT: the word's per-PO masks, for the recorder
+		sources map[fault.StuckAt][]explain.Bit
+	)
 	if rec.Enabled() {
-		sources := make(map[fault.StuckAt][]explain.Bit, len(out))
-		var members []int
-		for _, j := range jobs {
-			members = j.found.AppendMembers(members[:0])
-			for _, k := range members {
-				f := seedOf(k)
-				if j.crit == nil {
-					sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: -1})
-					continue
-				}
-				for i, po := range j.poIdxs {
-					if j.crit.Has(i*c.NumGates() + int(f.Net)) {
-						sources[f] = append(sources[f], explain.Bit{Pattern: j.p, PO: po})
-					}
-				}
+		sources = map[fault.StuckAt][]explain.Bit{}
+		if !approx {
+			crit = map[int][]uint64{}
+			perPO = func(po int, m []uint64) { crit[po] = append(crit[po][:0], m...) }
+		}
+	}
+	for w := 0; w < fs.NumWords() && ctx.Err() == nil; w++ {
+		union := fs.CriticalWord(ctx, w, traced, approx, workers, perPO)
+		for n, u := range union {
+			if u == 0 {
+				continue
+			}
+			// The hypothesis is the stuck-at of the complement of the
+			// net's fault-free value on the patterns it is critical on.
+			f := fault.StuckAt{Net: netlist.NetID(n)}
+			if g := fs.GoodWord(f.Net, w); u&g.V1&^g.V0 != 0 {
+				found.Add(seedBit(f))
+			}
+			if g := fs.GoodWord(f.Net, w); u&g.V0&^g.V1 != 0 {
+				f.Value1 = true
+				found.Add(seedBit(f))
 			}
 		}
+		if rec.Enabled() {
+			attribute(fs, w, traced, union, crit, sources)
+		}
+	}
+	out := seedsOf(found)
+	if rec.Enabled() {
 		for _, f := range out {
 			rec.Extract(f.String(), f.Name(c), sources[f])
 		}
 	}
-	return out, nil
+	return out
 }
 
-// trace back-traces the job's failing outputs on tracer t and marks each
-// (net, stuck-at-complement) hypothesis in the seedBit set found. With
-// attribute set it also keeps, out of the tracer's scratch, what the
-// recorder's attribution needs.
-func (j *extractJob) trace(t *fsim.CPT, pat sim.Pattern, approx, attribute bool, found bitset.Set) error {
-	var (
-		union []bool
-		per   [][]bool
-		vals  []logic.Value
-	)
-	if approx {
-		union, vals, j.err = t.CriticalApproxForOutputs(pat, j.pos)
-	} else {
-		union, per, vals, j.err = t.CriticalForOutputs(pat, j.pos)
-	}
-	if j.err != nil {
-		return j.err
-	}
-	if attribute {
-		j.found = bitset.New(2 * len(union))
-		if per != nil {
-			j.crit = bitset.New(len(per) * len(union))
+// attribute appends, for each traced pattern of word w in order and each
+// hypothesis its trace yielded in (net, polarity) order, the failing bits
+// that yielded it: each failing PO whose own masks mark the net, or the
+// pattern alone (PO −1) without per-PO masks (approximate CPT).
+func attribute(fs *fsim.FaultSim, w int, traced []bitset.Set, union []uint64, crit map[int][]uint64, sources map[fault.StuckAt][]explain.Bit) {
+	for s := 0; s < logic.W && w*logic.W+s < len(traced); s++ {
+		p := w*logic.W + s
+		if traced[p] == nil {
+			continue
 		}
-		for i, crit := range per {
-			for n, cr := range crit {
-				if cr {
-					j.crit.Add(i*len(union) + n)
+		pos := traced[p].Members()
+		for n, u := range union {
+			v := fs.GoodValue(netlist.NetID(n), p)
+			if u>>uint(s)&1 == 0 || !v.IsKnown() {
+				continue
+			}
+			f := fault.StuckAt{Net: netlist.NetID(n), Value1: v == logic.Zero}
+			if crit == nil {
+				sources[f] = append(sources[f], explain.Bit{Pattern: p, PO: -1})
+				continue
+			}
+			for _, po := range pos {
+				if crit[po][n]>>uint(s)&1 == 1 {
+					sources[f] = append(sources[f], explain.Bit{Pattern: p, PO: po})
 				}
 			}
 		}
 	}
-	for id, cr := range union {
-		if !cr || !vals[id].IsKnown() {
-			continue
-		}
-		k := seedBit(fault.StuckAt{Net: netlist.NetID(id), Value1: vals[id] == logic.Zero})
-		found.Add(k)
-		if attribute {
-			j.found.Add(k)
+}
+
+// determinate reports whether a pattern has no X input.
+func determinate(p sim.Pattern) bool {
+	for _, v := range p {
+		if !v.IsKnown() {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // evLookup classifies a (pattern, PO) bit of one datalog: its evidence
@@ -917,8 +863,9 @@ func (l *evLookup) get(p, po int) int {
 // byte-identical reports.
 //
 // The folder owns all per-seed scratch: the class-signature byte buffer
-// (pattern index + raw failing-set words, looked up with the
-// map[string]-on-[]byte idiom), a member-enumeration slice, and one
+// (per failing pattern its index, then each failing PO + 1, as uvarints,
+// then a 0; looked up with the map[string]-on-[]byte idiom), a
+// member-enumeration slice, and one
 // coverage bitset that is only cloned for seeds that found a new,
 // non-pruned class. It never retains a syndrome, so the caller may hand
 // each back to the simulator's arena once every folder has seen it.
@@ -965,10 +912,13 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 		if fails == nil {
 			continue
 		}
-		sf.sigBuf = binary.LittleEndian.AppendUint32(sf.sigBuf, uint32(p))
-		for _, w := range fails {
-			sf.sigBuf = binary.LittleEndian.AppendUint64(sf.sigBuf, w)
+		sf.sigBuf = binary.AppendUvarint(sf.sigBuf, uint64(p))
+		for i, w := range fails {
+			for ; w != 0; w &= w - 1 {
+				sf.sigBuf = binary.AppendUvarint(sf.sigBuf, uint64(i*64+bits.TrailingZeros64(w))+1)
+			}
 		}
+		sf.sigBuf = append(sf.sigBuf, 0)
 	}
 	if rep, ok := sf.classes[string(sf.sigBuf)]; ok {
 		rep.Equivalent = append(rep.Equivalent, f)

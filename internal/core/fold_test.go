@@ -37,11 +37,7 @@ func TestChunkedFoldMatchesPerSeedScoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpt := fsim.NewCPT(c)
-	seeds, err := extractCandidates(context.Background(), c, cpt, pats, log, false, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := extractCandidates(context.Background(), fs, log, false, 1, nil)
 	if len(seeds) == 0 {
 		t.Fatal("fixture produced no candidate seeds")
 	}

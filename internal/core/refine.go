@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
 	"multidiag/internal/obs"
-	"multidiag/internal/sim"
 	"multidiag/internal/tester"
 )
 
@@ -33,31 +33,32 @@ func refineModels(c *netlist.Circuit, fs *fsim.FaultSim, multiplet []*Candidate,
 		return
 	}
 	// Members are independent victims writing only their own Models list,
-	// so they shard across workers (the first on this goroutine), each with
-	// a private re-simulator. The recorder hears about them afterwards, in
-	// multiplet order.
+	// so they shard across workers (the first on this goroutine with fs,
+	// the rest on forks of it). The recorder hears about them afterwards,
+	// in multiplet order.
 	bridges := make([][]bridgeModelFit, len(multiplet))
 	workers := min(fsim.Workers(cfg.Workers), len(multiplet))
 	var next atomic.Int64
-	work := func() {
-		s := sim.New(c)
+	work := func(k *fsim.FaultSim) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(multiplet) {
 				return
 			}
-			bridges[i] = refineMember(c, fs, s, multiplet[i], ev, cfg, reg)
+			bridges[i] = refineMember(c, k, multiplet[i], ev, cfg, reg)
 		}
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
+		k := fs.AcquireFork()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			defer fs.ReleaseFork(k)
+			work(k)
 		}()
 	}
-	work()
+	work(fs)
 	wg.Wait()
 	if rec.Enabled() {
 		for i, cd := range multiplet {
@@ -75,10 +76,9 @@ type bridgeModelFit struct {
 
 // refineMember runs the aggressor search for one multiplet member and
 // returns the bridge models it accepted.
-func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *Candidate, ev *evLookup, cfg Config, reg *obs.Registry) []bridgeModelFit {
+func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, cd *Candidate, ev *evLookup, cfg Config, reg *obs.Registry) []bridgeModelFit {
 	tested := reg.Counter("core.bridge_aggressors_tested")
 	accepted := reg.Counter("core.bridge_models_accepted")
-	force := make(map[netlist.NetID]logic.PV64, 1)
 	victim := cd.Fault.Net
 	aggressors := bridgeAggressors(c, victim, cfg)
 	if len(aggressors) == 0 {
@@ -87,7 +87,7 @@ func refineMember(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, cd *C
 	tested.Add(int64(len(aggressors)))
 	var fits []bridgeModelFit
 	for _, a := range aggressors {
-		cov, tpsf := bridgeFit(c, fs, s, victim, a, ev, force)
+		cov, tpsf := bridgeFit(fs, victim, a, ev)
 		if cov == 0 {
 			continue
 		}
@@ -168,38 +168,24 @@ func bridgeAggressors(c *netlist.Circuit, victim netlist.NetID, cfg Config) []ne
 // bridgeFit simulates a dominant bridge (victim ← aggressor) over the test
 // set and returns (covered evidence bits, mispredicted bits); a predicted
 // failure the tester never observed (ev's evUnknown) counts as neither.
-// The forced victim value per packed word is the aggressor's fault-free
-// word, which is exactly the dominant-bridge semantics. The packed PI
-// vectors come from the fault simulator's construction-time packing (no
-// re-pack per hypothesis); force is caller scratch reused across
-// aggressors.
-func bridgeFit(c *netlist.Circuit, fs *fsim.FaultSim, s *sim.Simulator, victim, aggressor netlist.NetID, ev *evLookup, force map[netlist.NetID]logic.PV64) (covered, tpsf int) {
-	pats := fs.Patterns()
-	for base := 0; base < len(pats); base += logic.W {
-		// Aggressor fault-free word comes from the cached good simulation.
-		force[victim] = fs.GoodWord(aggressor, base/logic.W)
-		if err := s.RunWithOverrides(fs.PIWord(base/logic.W), force); err != nil {
-			return 0, 0
-		}
-		for i, po := range c.POs {
-			goodWord := fs.GoodWord(po, base/logic.W)
-			diff := s.Value(po).DiffKnown(goodWord)
-			if diff == 0 {
-				continue
-			}
-			for slot := uint(0); slot < logic.W; slot++ {
-				p := base + int(slot)
-				if p >= len(pats) {
+// Each pattern word is one Propagate forcing the victim to the
+// aggressor's fault-free word, which is exactly the dominant-bridge
+// semantics.
+func bridgeFit(fs *fsim.FaultSim, victim, aggressor netlist.NetID, ev *evLookup) (covered, tpsf int) {
+	pos := fs.Circuit().POs
+	for w := 0; w < fs.NumWords(); w++ {
+		for _, r := range fs.Propagate(w, fsim.Force{Net: victim, Val: fs.GoodWord(aggressor, w)}) {
+			for diff := r.Val.DiffKnown(fs.GoodWord(pos[r.PO], w)); diff != 0; diff &= diff - 1 {
+				p := w*logic.W + bits.TrailingZeros64(diff)
+				if p >= fs.NumPatterns() {
 					break
 				}
-				if diff>>slot&1 == 1 {
-					switch ev.get(p, i) {
-					case evPassing:
-						tpsf++
-					case evUnknown:
-					default:
-						covered++
-					}
+				switch ev.get(p, r.PO) {
+				case evPassing:
+					tpsf++
+				case evUnknown:
+				default:
+					covered++
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -14,12 +15,8 @@ import (
 // report package, which the flight recorder pulls in — so the CLI and the
 // serving layer render from one implementation and cannot drift.
 func WriteReport(w io.Writer, c *netlist.Circuit, res *Result, failingPatterns, top int) error {
-	var err error
-	p := func(format string, args ...interface{}) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	var b bytes.Buffer
+	p := func(format string, args ...interface{}) { fmt.Fprintf(&b, format, args...) }
 	p("evidence: %d failing bits over %d failing patterns\n", len(res.Evidence), failingPatterns)
 	p("extracted %d effect-cause candidates; multiplet size %d; elapsed %s\n",
 		res.CandidatesExtracted, len(res.Multiplet), res.Elapsed)
@@ -54,5 +51,8 @@ func WriteReport(w io.Writer, c *netlist.Circuit, res *Result, failingPatterns, 
 			p("  %2d. %-20s TFSF=%d TPSF=%d\n", i+1, cd.Name(c), cd.TFSF, cd.TPSF)
 		}
 	}
+	// One write: a caller keeping the report holds its length, not a
+	// buffer grown by doubling.
+	_, err := w.Write(b.Bytes())
 	return err
 }

@@ -127,15 +127,12 @@ func (fs *FaultSim) AcquireFork() *FaultSim {
 	if w == nil {
 		return fs.Fork()
 	}
-	// Refresh the shared handles: the pooled scratch (cur, inCone, stack,
-	// cone order) carries over, everything identity-bearing is re-copied
-	// from the acquiring simulator.
+	// Refresh the shared handles: the pooled propagation scratch carries
+	// over, everything identity-bearing is re-copied from the acquiring
+	// simulator.
 	w.cache = fs.cache
 	w.probeHits, w.probeMisses = 0, 0
-	w.statSims = fs.statSims
-	w.statConeEvals = fs.statConeEvals
-	w.statXWords = fs.statXWords
-	w.statConeSize = fs.statConeSize
+	w.stats = fs.stats
 	return w
 }
 

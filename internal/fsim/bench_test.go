@@ -1,12 +1,15 @@
 package fsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"multidiag/internal/bitset"
 	"multidiag/internal/circuits"
 	"multidiag/internal/fault"
+	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
 )
 
@@ -37,35 +40,27 @@ func BenchmarkPPSFP(b *testing.B) {
 	}
 }
 
-// BenchmarkCPTSingleOutput measures exact critical path tracing for one
-// (pattern, output) pair.
-func BenchmarkCPTSingleOutput(b *testing.B) {
+// BenchmarkCriticalWord measures exact critical path tracing of one
+// pattern word with every output failing on all 64 patterns (one word per
+// op, stems propagated on the calling simulator).
+func BenchmarkCriticalWord(b *testing.B) {
 	c := benchCircuit(b, 2000)
-	cpt := NewCPT(c)
 	r := rand.New(rand.NewSource(2))
-	p := randomPatterns(r, len(c.PIs), 1)[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cpt.Critical(p, c.POs[i%len(c.POs)]); err != nil {
-			b.Fatal(err)
+	fs, err := NewFaultSim(c, randomPatterns(r, len(c.PIs), logic.W))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fails := make([]bitset.Set, logic.W)
+	for p := range fails {
+		fails[p] = bitset.New(len(c.POs))
+		for i := range c.POs {
+			fails[p].Add(i)
 		}
 	}
-}
-
-// BenchmarkCPTAllOutputs measures the multi-output amortized tracer over
-// every PO at once (the extraction configuration diagnosis uses).
-func BenchmarkCPTAllOutputs(b *testing.B) {
-	c := benchCircuit(b, 2000)
-	cpt := NewCPT(c)
-	r := rand.New(rand.NewSource(2))
-	p := randomPatterns(r, len(c.PIs), 1)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := cpt.CriticalForOutputs(p, c.POs); err != nil {
-			b.Fatal(err)
-		}
+		fs.CriticalWord(context.Background(), 0, fails, false, 1, nil)
 	}
 }
 

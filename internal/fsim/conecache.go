@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"multidiag/internal/fault"
-	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
 	"multidiag/internal/obs"
 )
@@ -223,18 +222,4 @@ func (fs *FaultSim) cachedWord(f fault.StuckAt, w int) ([]poWordDiff, bool) {
 // storeWord records the diffs computed for (f, word w).
 func (fs *FaultSim) storeWord(f fault.StuckAt, w int, diffs []poWordDiff) {
 	fs.cache.put(coneKey{net: f.Net, word: int32(w), value1: f.Value1}, diffs)
-}
-
-// replayWord adds a cached word's failing bits to the syndrome.
-func (fs *FaultSim) replayWord(syn *Syndrome, w int, diffs []poWordDiff) {
-	base := w * logic.W
-	for _, d := range diffs {
-		for m := d.diff; m != 0; m &= m - 1 {
-			p := base + tz64(m)
-			if p >= len(fs.pats) {
-				break
-			}
-			fs.addFail(syn, p, int(d.po))
-		}
-	}
 }

@@ -1,13 +1,19 @@
 package fsim
 
 import (
+	"context"
+	"math/bits"
+	"sync"
+	"sync/atomic"
+
+	"multidiag/internal/bitset"
 	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
-	"multidiag/internal/obs"
+	"multidiag/internal/prof"
 	"multidiag/internal/sim"
 )
 
-// CPT performs exact gate-level critical path tracing for one pattern.
+// Critical path tracing (CPT).
 //
 // A net n is *critical* with respect to primary output po under pattern p
 // when flipping n's fault-free value (at the net, i.e. on all of its fanout
@@ -16,324 +22,253 @@ import (
 // fault-free value) would be observed at po — the effect-cause candidate set
 // for a failing output.
 //
-// The implementation is exact, including reconvergent-fanout self-masking
-// cases that classical approximate CPT mishandles:
+// CriticalWord traces all requested (pattern, output) pairs of one
+// 64-pattern word together, on the simulator's fault-free words, as one
+// mask of patterns per net:
 //
-//   - fanout-free nets are traced backward through gate input sensitivity
-//     (a single-reader net is critical iff its reader's output is critical
-//     and the input is sensitive, which composes exactly along the unique
-//     path);
-//   - fanout stems are resolved by an explicit flip-and-propagate check with
-//     the event-driven simulator (stem analysis), which is exact by
-//     definition.
+//   - a fanout-free net is critical where its reader is critical and the
+//     net is a sensitive input of it, crit[n] = crit[reader] &
+//     sens(reader, n), which composes exactly along the unique path;
+//   - a fanout stem is resolved by stem analysis: one Propagate forcing
+//     it to the complement of its fault-free word yields its difference
+//     word at every output at once. This is exact by definition,
+//     including the reconvergent self-masking that classical approximate
+//     CPT mishandles.
 //
-// CPT requires a fully determinate pattern (no X values).
-type CPT struct {
-	c  *netlist.Circuit
-	es *sim.EventSim
+// The approximate variant (classical CPT, the T5 ablation) resolves a
+// stem like a fanout-free net, ORing over its readers, and propagates
+// nothing: multiple-path self-masking is missed and single-path masking
+// over-counted.
 
-	refs []int // number of fan-in references per net (stem detection)
-
-	// Multi-output tracing scratch, reused across CriticalForOutputs calls
-	// so the per-failing-pattern extraction loop allocates nothing in its
-	// steady state. All of it is owned by the tracer and valid only until
-	// the next trace call.
-	vals      []logic.Value
-	union     []bool
-	per       [][]bool
-	cones     [][]bool
-	unionCone []bool
-	coneStack []netlist.NetID
-	before    []logic.Value
-	flipArena []bool  // per-stem × per-output flip verdicts, carved in order
-	stemOff   []int32 // per net: offset of its verdicts in flipArena, -1 none
-
-	statTraces    *obs.Counter
-	statStemFlips *obs.Counter
+// cptScratch is CriticalWord's scratch, kept on the simulator and reused
+// across words and calls.
+type cptScratch struct {
+	targets []uint64 // per PO: the word's patterns to trace it on
+	base    []int32  // per traced PO: where its patterns' bits start in a flips row
+	traced  []int    // traced PO indices, ascending
+	inCone  []bool   // union fan-in cone of the traced POs (cleared after use)
+	stack   []netlist.NetID
+	order   []netlist.NetID // the cone by descending level
+	stems   []netlist.NetID // the cone's fanout stems (exact tracing)
+	row     []int32         // per net: its row in flips (stems only)
+	flips   []uint64        // per stem: one bit per traced (pattern, PO)
+	crit    []uint64        // per net: critical patterns for the current PO
+	union   []uint64        // per net: critical patterns for any traced PO
+	members []int
 }
 
-// NewCPT builds a tracer for the finalized circuit c.
-func NewCPT(c *netlist.Circuit) *CPT {
-	t := &CPT{c: c, es: sim.NewEventSim(c), refs: make([]int, c.NumGates())}
-	for i := range c.Gates {
-		for _, f := range c.Gates[i].Fanin {
-			t.refs[f]++
+// stemChunk is the number of stems a worker claims at a time.
+const stemChunk = 8
+
+// CriticalWord traces the failing outputs of pattern word w: fails[p] is
+// the set of PO indices to trace on pattern p (nil or empty: pattern p is
+// not traced; patterns outside word w are ignored). It returns, per net,
+// the mask of the word's patterns (bit s is pattern w·64+s) on which the
+// net is critical for at least one of the pattern's traced outputs. The
+// candidate a critical net yields is the stuck-at of the complement of its
+// fault-free value (GoodWord). perPO, when non-nil, is called once per
+// traced output, in PO order, with that output's own masks. Both are
+// scratch, valid until the simulator's next trace.
+//
+// A pattern carrying X is traced three-valued: a net that is X is never
+// critical, and a stem is critical where flipping it changes the output's
+// value, to or from X included.
+//
+// Exact tracing shards its stem propagations across up to workers
+// simulators (this one and forks of it); each stem's verdict is a pure
+// function of the stem, so the result is identical at any worker count.
+// Once ctx is done no further stem is propagated and the result is
+// incomplete; the caller reports ctx.Err().
+func (fs *FaultSim) CriticalWord(ctx context.Context, w int, fails []bitset.Set, approx bool, workers int, perPO func(po int, crit []uint64)) []uint64 {
+	t := &fs.cpt
+	c := fs.c
+	if t.crit == nil {
+		n := c.NumGates()
+		t.targets = make([]uint64, len(c.POs))
+		t.base = make([]int32, len(c.POs))
+		t.inCone = make([]bool, n)
+		t.row = make([]int32, n)
+		t.crit = make([]uint64, n)
+		t.union = make([]uint64, n)
+	}
+	good := fs.words[w]
+	clear(t.targets)
+	clear(t.crit)
+	clear(t.union)
+	var traced uint64
+	for s := 0; s < logic.W && w*logic.W+s < len(fails); s++ {
+		if set := fails[w*logic.W+s]; set != nil {
+			t.members = set.AppendMembers(t.members[:0])
+			for _, po := range t.members {
+				t.targets[po] |= 1 << uint(s)
+				traced |= 1 << uint(s)
+			}
 		}
 	}
-	return t
-}
-
-// Fork returns a tracer sharing t's circuit, stem reference counts, and
-// observability counters, with a private simulator and private scratch.
-// The fork and its parent may trace concurrently (distinct patterns or
-// the same — tracing is read-only on shared state).
-func (t *CPT) Fork() *CPT {
-	return &CPT{
-		c:             t.c,
-		es:            sim.NewEventSim(t.c),
-		refs:          t.refs,
-		statTraces:    t.statTraces,
-		statStemFlips: t.statStemFlips,
+	fs.stats.traces.Add(int64(bits.OnesCount64(traced)))
+	t.traced = t.traced[:0]
+	pairs := 0
+	for i, m := range t.targets {
+		if m != 0 {
+			t.base[i] = int32(pairs)
+			pairs += bits.OnesCount64(m)
+			t.traced = append(t.traced, i)
+		}
 	}
-}
-
-// Observe wires the tracer's counters into r (nil r detaches): backtraces
-// run and exact stem flip-and-propagate checks (the expensive primitive
-// of exact CPT).
-func (t *CPT) Observe(r *obs.Registry) {
-	t.statTraces = r.Counter("cpt.traces")
-	t.statStemFlips = r.Counter("cpt.stem_flips")
-}
-
-// Critical computes the set of nets critical for po under pattern p, as a
-// boolean slice indexed by NetID. The second return value is the per-net
-// fault-free values of the pattern (useful to the caller for deriving
-// stuck-at candidate polarity).
-func (t *CPT) Critical(p sim.Pattern, po netlist.NetID) ([]bool, []logic.Value, error) {
-	if err := t.es.Baseline(p, nil); err != nil {
-		return nil, nil, err
+	if len(t.traced) == 0 {
+		return t.union
 	}
-	t.statTraces.Inc()
-	vals := append([]logic.Value(nil), t.es.Values()...)
-	crit := make([]bool, t.c.NumGates())
 
-	cone := t.c.FaninCone(po)
-	ord := t.c.LevelOrder()
-	// Reverse level-order sweep restricted to the cone.
+	// The union fan-in cone of the traced outputs, by descending level,
+	// and its stems.
+	t.stack = t.stack[:0]
+	for _, i := range t.traced {
+		t.inCone[c.POs[i]] = true
+		t.stack = append(t.stack, c.POs[i])
+	}
+	for len(t.stack) > 0 {
+		x := t.stack[len(t.stack)-1]
+		t.stack = t.stack[:len(t.stack)-1]
+		for _, f := range c.Gates[x].Fanin {
+			if !t.inCone[f] {
+				t.inCone[f] = true
+				t.stack = append(t.stack, f)
+			}
+		}
+	}
+	t.order, t.stems = t.order[:0], t.stems[:0]
+	ord := c.LevelOrder()
 	for i := len(ord) - 1; i >= 0; i-- {
-		n := ord[i]
-		if !cone[n] {
-			continue
-		}
-		switch {
-		case n == po:
-			crit[n] = true
-		case t.refs[n] > 1:
-			// Stem: exact flip check.
-			crit[n] = t.flipChangesPO(n, vals[n], po)
-		case t.refs[n] == 1:
-			// Single reader: find it and test sensitivity.
-			rd := t.singleReader(n)
-			if rd == netlist.InvalidNet || !crit[rd] {
-				break
-			}
-			if t.inputSensitive(rd, n, vals) {
-				crit[n] = true
-			}
-		default:
-			// Dangling net other than po: never critical.
-		}
-	}
-	return crit, vals, nil
-}
-
-// CriticalForOutputs traces each po in pos and ORs the per-output results,
-// also returning the per-output sets. One baseline evaluation and one
-// flip-propagation per fanout stem are shared across all outputs — the
-// multi-output amortization that makes per-failing-output candidate
-// extraction affordable on devices with wide syndromes (a stem flip is
-// propagated once and its effect read at every output simultaneously).
-//
-// The returned slices are scratch owned by the tracer, valid until its
-// next trace call; callers that keep results across patterns must copy.
-func (t *CPT) CriticalForOutputs(p sim.Pattern, pos []netlist.NetID) (union []bool, per [][]bool, vals []logic.Value, err error) {
-	if err := t.es.Baseline(p, nil); err != nil {
-		return nil, nil, nil, err
-	}
-	t.statTraces.Inc()
-	n := t.c.NumGates()
-	t.vals = append(t.vals[:0], t.es.Values()...)
-	vals = t.vals
-	t.union = clearBools(t.union, n)
-	union = t.union
-	if cap(t.per) < len(pos) {
-		t.per = append(t.per[:cap(t.per)], make([][]bool, len(pos)-cap(t.per))...)
-	}
-	t.per = t.per[:len(pos)]
-	per = t.per
-	for i := range per {
-		per[i] = clearBools(per[i], n)
-	}
-
-	// Per-output fanin cones and the union cone.
-	if cap(t.cones) < len(pos) {
-		t.cones = append(t.cones[:cap(t.cones)], make([][]bool, len(pos)-cap(t.cones))...)
-	}
-	t.cones = t.cones[:len(pos)]
-	cones := t.cones
-	t.unionCone = clearBools(t.unionCone, n)
-	unionCone := t.unionCone
-	for i, po := range pos {
-		cones[i], t.coneStack = t.c.FaninConeInto(po, cones[i], t.coneStack)
-		for id, in := range cones[i] {
-			if in {
-				unionCone[id] = true
+		if id := ord[i]; t.inCone[id] {
+			t.inCone[id] = false
+			t.order = append(t.order, id)
+			if !approx && fs.refs[id] > 1 {
+				t.row[id] = int32(len(t.stems))
+				t.stems = append(t.stems, id)
 			}
 		}
 	}
-
-	// Stem analysis: flip each stem in the union cone once; record which
-	// outputs change. Verdicts are carved from a flat arena indexed via
-	// stemOff (per-net), replacing a map of per-stem slices.
-	if cap(t.stemOff) < n {
-		t.stemOff = make([]int32, n)
-	}
-	t.stemOff = t.stemOff[:n]
-	for i := range t.stemOff {
-		t.stemOff[i] = -1
-	}
-	t.flipArena = t.flipArena[:0]
-	t.before = t.before[:0]
-	for _, po := range pos {
-		t.before = append(t.before, t.es.Value(po))
-	}
-	for id := 0; id < n; id++ {
-		s := netlist.NetID(id)
-		if !unionCone[id] || t.refs[s] <= 1 {
-			continue
-		}
-		t.statStemFlips.Inc()
-		_, restore := t.es.PropagateFrom(s, vals[s].Not())
-		t.stemOff[id] = int32(len(t.flipArena))
-		for i, po := range pos {
-			t.flipArena = append(t.flipArena, t.es.Value(po) != t.before[i])
-		}
-		restore()
+	rowWords := (pairs + 63) / 64
+	if !approx {
+		fs.flipStems(ctx, w, workers, rowWords)
 	}
 
-	// Per-output backtrace using the shared stem verdicts (no further
-	// simulation).
-	ord := t.c.LevelOrder()
-	for pi, po := range pos {
-		crit := per[pi]
-		cone := cones[pi]
-		for i := len(ord) - 1; i >= 0; i-- {
-			nID := ord[i]
-			if !cone[nID] {
-				continue
-			}
+	// One backward sweep over the cone per traced output. A reader always
+	// sits at a higher level, so its mask is final when its inputs read
+	// it; nets outside the cone keep the zero they were cleared to.
+	for _, i := range t.traced {
+		po := c.POs[i]
+		for _, id := range t.order {
+			var m uint64
 			switch {
-			case nID == po:
-				crit[nID] = true
-			case t.refs[nID] > 1:
-				if off := t.stemOff[nID]; off >= 0 {
-					crit[nID] = t.flipArena[int(off)+pi]
-				}
-			case t.refs[nID] == 1:
-				rd := t.singleReader(nID)
-				if rd == netlist.InvalidNet || !crit[rd] {
-					break
-				}
-				if t.inputSensitive(rd, nID, vals) {
-					crit[nID] = true
-				}
-			}
-			if crit[nID] {
-				union[nID] = true
-			}
-		}
-	}
-	return union, per, vals, nil
-}
-
-// clearBools returns b resized to n with every element false, reusing its
-// backing array when large enough (the loop compiles to a memclr).
-func clearBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
-}
-
-// flipChangesPO flips net n from its baseline value and reports whether po
-// changes. The perturbation is undone before returning.
-func (t *CPT) flipChangesPO(n netlist.NetID, cur logic.Value, po netlist.NetID) bool {
-	t.statStemFlips.Inc()
-	flipped := cur.Not()
-	before := t.es.Value(po)
-	_, restore := t.es.PropagateFrom(n, flipped)
-	changed := t.es.Value(po) != before
-	restore()
-	return changed
-}
-
-// singleReader returns the unique gate reading net n.
-func (t *CPT) singleReader(n netlist.NetID) netlist.NetID {
-	fo := t.c.Gates[n].Fanout
-	if len(fo) != 1 {
-		// refs==1 implies exactly one reader gate with one reference.
-		if len(fo) == 0 {
-			return netlist.InvalidNet
-		}
-	}
-	return fo[0]
-}
-
-// inputSensitive reports whether flipping input net in of gate g (with all
-// other inputs at their baseline values) flips g's output value.
-func (t *CPT) inputSensitive(g, in netlist.NetID, vals []logic.Value) bool {
-	gate := &t.c.Gates[g]
-	base := vals[g]
-	flipped := sim.EvalScalarGate(gate.Type, gate.Fanin, func(f netlist.NetID) logic.Value {
-		if f == in {
-			return vals[f].Not()
-		}
-		return vals[f]
-	})
-	return flipped != base && flipped.IsKnown() && base.IsKnown()
-}
-
-// CriticalApproxForOutputs is the *classical* approximate CPT: fanout stems
-// are resolved by branch sensitivity alone (a stem is marked critical when
-// it is a sensitive input of any gate whose output is critical) instead of
-// by exact flip-and-propagate stem analysis. Reconvergent fanout makes this
-// both optimistic and pessimistic in different cases — multiple-path
-// self-masking is missed, single-path masking is over-counted — which is
-// precisely why the exact tracer exists. Kept as the T5 ablation reference
-// and for cost comparison (no event simulation at all).
-func (t *CPT) CriticalApproxForOutputs(p sim.Pattern, pos []netlist.NetID) (union []bool, vals []logic.Value, err error) {
-	if err := t.es.Baseline(p, nil); err != nil {
-		return nil, nil, err
-	}
-	t.statTraces.Inc()
-	vals = append([]logic.Value(nil), t.es.Values()...)
-	n := t.c.NumGates()
-	union = make([]bool, n)
-	ord := t.c.LevelOrder()
-	for _, po := range pos {
-		cone := t.c.FaninCone(po)
-		crit := make([]bool, n)
-		for i := len(ord) - 1; i >= 0; i-- {
-			nID := ord[i]
-			if !cone[nID] {
-				continue
-			}
-			if nID == po {
-				crit[nID] = true
-			} else {
-				for _, rd := range t.c.Gates[nID].Fanout {
-					if crit[rd] && t.inputSensitive(rd, nID, vals) {
-						crit[nID] = true
-						break
+			case id == po:
+				m = t.targets[i]
+			case !approx && fs.refs[id] > 1:
+				m = unpackBits(t.flips[int(t.row[id])*rowWords:], int(t.base[i]), t.targets[i])
+			default:
+				for _, rd := range c.Gates[id].Fanout {
+					if t.crit[rd] != 0 {
+						m |= t.crit[rd] & fs.sensitive(good, rd, id)
 					}
 				}
 			}
-			if crit[nID] {
-				union[nID] = true
-			}
+			t.crit[id] = m
+			t.union[id] |= m
+		}
+		if perPO != nil {
+			perPO(i, t.crit)
 		}
 	}
-	return union, vals, nil
+	return t.union
+}
+
+// flipStems fills the stem table: one Propagate per stem of the cone,
+// forcing it to the complement of its fault-free word, and, in the stem's
+// row, one bit per traced (pattern, output) pair: whether the output's
+// three-valued word changed on that pattern.
+func (fs *FaultSim) flipStems(ctx context.Context, w, workers, rowWords int) {
+	t := &fs.cpt
+	if need := len(t.stems) * rowWords; cap(t.flips) < need {
+		t.flips = make([]uint64, need)
+	} else {
+		t.flips = t.flips[:need]
+		clear(t.flips)
+	}
+	fs.stats.stemFlips.Add(int64(len(t.stems)))
+	good := fs.words[w]
+	var next atomic.Int64
+	run := func(wk int, k *FaultSim) {
+		prof.Worker(ctx, wk, "", func(ctx context.Context, _ prof.Phase) {
+			for ctx.Err() == nil {
+				start := int(next.Add(stemChunk)) - stemChunk
+				if start >= len(t.stems) {
+					return
+				}
+				for i := start; i < min(start+stemChunk, len(t.stems)); i++ {
+					s := t.stems[i]
+					row := t.flips[i*rowWords : (i+1)*rowWords]
+					for _, r := range k.Propagate(w, Force{Net: s, Val: good[s].Not()}) {
+						if m := t.targets[r.PO]; m != 0 {
+							g := good[fs.c.POs[r.PO]]
+							packBits(row, int(t.base[r.PO]), m, (r.Val.V0^g.V0)|(r.Val.V1^g.V1))
+						}
+					}
+				}
+			}
+		})
+	}
+	var wg sync.WaitGroup
+	for wk := 1; wk < min(workers, (len(t.stems)+stemChunk-1)/stemChunk); wk++ {
+		k := fs.AcquireFork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer fs.ReleaseFork(k)
+			run(wk, k)
+		}()
+	}
+	run(0, fs)
+	wg.Wait()
+}
+
+// packBits stores, from bit k of row on, one bit per pattern of mask:
+// whether diff has it.
+func packBits(row []uint64, k int, mask, diff uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		if diff&mask&-mask != 0 {
+			row[k/64] |= 1 << uint(k%64)
+		}
+		k++
+	}
+}
+
+// unpackBits inverts packBits: the patterns of mask whose bit is set.
+func unpackBits(row []uint64, k int, mask uint64) (m uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		if row[k/64]>>uint(k%64)&1 == 1 {
+			m |= mask & -mask
+		}
+		k++
+	}
+	return m
+}
+
+// sensitive returns the mask of the word's patterns on which flipping
+// input net in of gate g, its other inputs fault-free, flips g's
+// determinate output.
+func (fs *FaultSim) sensitive(good []logic.PV64, g, in netlist.NetID) uint64 {
+	gate := &fs.c.Gates[g]
+	for _, f := range gate.Fanin {
+		fs.cur[f] = good[f]
+	}
+	fs.cur[in] = good[in].Not()
+	return sim.EvalPacked(gate.Type, gate.Fanin, fs.cur).DiffKnown(good[g])
 }
 
 // BruteForceCritical computes criticality by flipping every net in po's
 // fan-in cone and fully re-simulating. It is the executable specification
-// used by tests and by the T5 ablation (per-output covering with exact vs.
-// approximate tracing); O(cone²) and therefore not used in the main flow.
+// the CPT tests check CriticalWord against; O(cone²), so no engine path
+// uses it.
 func BruteForceCritical(c *netlist.Circuit, p sim.Pattern, po netlist.NetID) ([]bool, error) {
 	base, err := sim.EvalScalar(c, p, nil)
 	if err != nil {

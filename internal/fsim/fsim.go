@@ -1,10 +1,12 @@
 // Package fsim provides single-fault simulation and effect-cause analysis
-// primitives:
+// primitives, all on one forced-propagation kernel (FaultSim.Propagate:
+// 64 patterns per word, event-driven through the forced nets' fanout
+// against cached fault-free words):
 //
-//   - a packed-parallel single-fault simulator (PPSFP: 64 patterns per pass,
-//     one fault at a time, propagation limited to the fault's fan-out cone);
-//   - syndrome computation (per-pattern failing-output sets) and full
-//     fault-dictionary construction;
+//   - a packed-parallel single-fault simulator (PPSFP: one fault at a
+//     time), syndrome computation (per-pattern failing-output sets) and
+//     full fault-dictionary construction;
+//   - X-propagation from a set of sites, the diagnosis X-masking check;
 //   - exact critical path tracing (CPT) at gate level, the candidate
 //     extractor of the effect-cause diagnosis flow.
 package fsim
@@ -12,7 +14,6 @@ package fsim
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"multidiag/internal/bitset"
@@ -103,23 +104,34 @@ func (s *Syndrome) Equal(t *Syndrome) bool {
 }
 
 // FaultSim is a packed-parallel single-fault simulator bound to one circuit
-// and one packed test set. Patterns are packed once at construction; each
-// fault is then simulated with cone-limited propagation against the cached
-// fault-free values.
+// and one packed test set. Patterns are packed and simulated fault-free
+// once at construction; every faulty machine is then a forced propagation
+// (Propagate) against the cached fault-free words.
 type FaultSim struct {
-	c       *netlist.Circuit
-	pats    []sim.Pattern
-	words   [][]logic.PV64 // words[w][net] fault-free values for word w
-	piWords [][]logic.PV64 // packed PI vectors per word
-	nWords  int
-	// scratch for cone-limited propagation (private per fork)
-	cur      []logic.PV64
-	touched  []netlist.NetID
-	inCone   []bool
-	stack    []netlist.NetID
-	coneKeys []uint64 // level-sort scratch: Level<<32|NetID
-	conePOs  []int32  // PO indices inside the current cone
-	poIndex  map[netlist.NetID]int
+	c      *netlist.Circuit
+	pats   []sim.Pattern
+	words  [][]logic.PV64 // words[w][net] fault-free values for word w
+	nWords int
+	// Per-circuit tables shared by forks: the PO index of each net (-1
+	// when it is no output), the number of fan-in references to each net
+	// (more than one makes it a fanout stem), and whether a net reaches
+	// any output at all.
+	poOf  []int32
+	refs  []int32
+	reach []bool
+
+	// Propagate scratch (private per fork): cur[n] is net n's value in
+	// the current propagation where valid[n] == gen; queued[n] == gen
+	// marks a net waiting on its level list (or forced, so never
+	// evaluated); reached collects the POs whose word changed.
+	cur     []logic.PV64
+	valid   []uint32
+	queued  []uint32
+	gen     uint32
+	levels  [][]netlist.NetID
+	reached []POWord
+	// cpt is the critical path tracing scratch (see CriticalWord).
+	cpt cptScratch
 
 	// arena recycles syndromes/fail-sets; rootSim points at the simulator
 	// owning the shared arena and fork free list (nil for a root). Both
@@ -139,12 +151,15 @@ type FaultSim struct {
 	probeHits   int64
 	probeMisses int64
 
-	// observability handles, resolved once by Observe; nil (no-op) until
-	// then, so the uninstrumented path costs one pointer test per counter.
-	statSims      *obs.Counter
-	statConeEvals *obs.Counter
-	statXWords    *obs.Counter
-	statConeSize  *obs.Histogram
+	// stats holds the observability handles, resolved once by Observe;
+	// nil (no-op) until then, so the uninstrumented path costs one
+	// pointer test per counter.
+	stats simStats
+}
+
+// simStats are a simulator's counters, shared by its forks.
+type simStats struct {
+	sims, gateEvals, xWords, traces, stemFlips *obs.Counter
 }
 
 // NewFaultSim packs the pattern set and precomputes fault-free values.
@@ -152,16 +167,34 @@ func NewFaultSim(c *netlist.Circuit, pats []sim.Pattern) (*FaultSim, error) {
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("fsim: empty pattern set")
 	}
+	n := c.NumGates()
 	fs := &FaultSim{
-		c:       c,
-		pats:    pats,
-		cur:     make([]logic.PV64, c.NumGates()),
-		inCone:  make([]bool, c.NumGates()),
-		poIndex: make(map[netlist.NetID]int, len(c.POs)),
-		arena:   newSynArena(len(pats), len(c.POs)),
+		c:     c,
+		pats:  pats,
+		poOf:  make([]int32, n),
+		refs:  make([]int32, n),
+		reach: make([]bool, n),
+		arena: newSynArena(len(pats), len(c.POs)),
+	}
+	fs.newScratch()
+	for i := range fs.poOf {
+		fs.poOf[i] = -1
 	}
 	for i, po := range c.POs {
-		fs.poIndex[po] = i
+		fs.poOf[po] = int32(i)
+	}
+	for i := range c.Gates {
+		for _, f := range c.Gates[i].Fanin {
+			fs.refs[f]++
+		}
+	}
+	ord := c.LevelOrder()
+	for i := len(ord) - 1; i >= 0; i-- {
+		id := ord[i]
+		fs.reach[id] = fs.poOf[id] >= 0
+		for _, rd := range c.Gates[id].Fanout {
+			fs.reach[id] = fs.reach[id] || fs.reach[rd]
+		}
 	}
 	s := sim.New(c)
 	for base := 0; base < len(pats); base += logic.W {
@@ -176,24 +209,34 @@ func NewFaultSim(c *netlist.Circuit, pats []sim.Pattern) (*FaultSim, error) {
 		if err := s.Run(piv); err != nil {
 			return nil, err
 		}
-		vals := make([]logic.PV64, c.NumGates())
-		copy(vals, s.Values())
-		fs.words = append(fs.words, vals)
-		fs.piWords = append(fs.piWords, piv)
+		fs.words = append(fs.words, append([]logic.PV64(nil), s.Values()...))
 	}
 	fs.nWords = len(fs.words)
 	return fs, nil
 }
 
-// Observe wires the simulator's counters into r (nil r detaches): faults
-// simulated, packed gate-word evaluations, X-propagation words, and a
-// log₂ histogram of fan-out cone sizes. Counter updates are atomic, so
-// one registry may observe simulators on several goroutines.
+// newScratch allocates the simulator's private propagation scratch.
+func (fs *FaultSim) newScratch() {
+	n := fs.c.NumGates()
+	fs.cur = make([]logic.PV64, n)
+	fs.valid = make([]uint32, n)
+	fs.queued = make([]uint32, n)
+	fs.levels = make([][]netlist.NetID, fs.c.MaxLevel()+1)
+}
+
+// Observe wires the simulator's counters into r (nil r detaches): stuck-at
+// scoring simulations, gate-word evaluations performed by Propagate,
+// X-propagation words, and the critical path tracer's traced patterns and
+// stem propagations. Counter updates are atomic, so one registry may
+// observe simulators on several goroutines.
 func (fs *FaultSim) Observe(r *obs.Registry) {
-	fs.statSims = r.Counter("fsim.sims")
-	fs.statConeEvals = r.Counter("fsim.cone_gate_word_evals")
-	fs.statXWords = r.Counter("fsim.xsim_words")
-	fs.statConeSize = r.Histogram("fsim.cone_size")
+	fs.stats = simStats{
+		sims:      r.Counter("fsim.sims"),
+		gateEvals: r.Counter("fsim.cone_gate_word_evals"),
+		xWords:    r.Counter("fsim.xsim_words"),
+		traces:    r.Counter("cpt.traces"),
+		stemFlips: r.Counter("cpt.stem_flips"),
+	}
 }
 
 // Circuit returns the simulated circuit.
@@ -201,6 +244,9 @@ func (fs *FaultSim) Circuit() *netlist.Circuit { return fs.c }
 
 // NumPatterns returns the test-set size.
 func (fs *FaultSim) NumPatterns() int { return len(fs.pats) }
+
+// NumWords returns the number of 64-pattern words the test set packs into.
+func (fs *FaultSim) NumWords() int { return fs.nWords }
 
 // Patterns returns the test set (shared storage).
 func (fs *FaultSim) Patterns() []sim.Pattern { return fs.pats }
@@ -216,12 +262,6 @@ func (fs *FaultSim) GoodWord(id netlist.NetID, w int) logic.PV64 {
 	return fs.words[w][id]
 }
 
-// PIWord returns the packed primary-input vector for pattern word w
-// (shared storage — callers must not mutate). Re-simulation passes — the
-// bridge refinement sweep, X-propagation — reuse these instead of
-// re-packing the pattern set per hypothesis.
-func (fs *FaultSim) PIWord(w int) []logic.PV64 { return fs.piWords[w] }
-
 // GoodPOSet returns the fault-free PO values of pattern p as a bitset of
 // POs at logic 1 (X POs are omitted; callers in the diagnosis flow only use
 // determinate patterns).
@@ -236,6 +276,101 @@ func (fs *FaultSim) GoodPOSet(p int) bitset.Set {
 	return out
 }
 
+// Force pins one net to a packed word in Propagate.
+type Force struct {
+	Net netlist.NetID
+	Val logic.PV64
+}
+
+// POWord is one primary output's faulty word, by PO index.
+type POWord struct {
+	PO  int
+	Val logic.PV64
+}
+
+// Propagate is the forced-propagation kernel behind every faulty machine
+// the engine simulates: stuck-at scoring, the X-masking check, dominant
+// bridge fits and CPT stem analysis. It pins each forced net to its word
+// in pattern word w (a net listed twice keeps its last word; a forced net
+// is never re-evaluated, even downstream of another), propagates event by
+// event through their fanout in level order — evaluating only gates with
+// a fanin word that differs from the fault-free one, against the cached
+// fault-free words everywhere else — and returns the faulty word of every
+// PO whose word differs from the fault-free word, in no particular order.
+// The result is scratch, valid until the simulator's next propagation.
+func (fs *FaultSim) Propagate(w int, forces ...Force) []POWord {
+	good := fs.words[w]
+	gen := fs.nextGen()
+	fs.reached = fs.reached[:0]
+	for _, f := range forces {
+		fs.cur[f.Net], fs.queued[f.Net] = f.Val, gen
+	}
+	pending, lo := 0, len(fs.levels)
+	for _, f := range forces {
+		n := f.Net
+		if fs.valid[n] == gen {
+			continue // listed twice
+		}
+		fs.valid[n] = gen
+		if v := fs.cur[n]; v != good[n] {
+			pending += fs.changed(n, v, gen)
+			lo = min(lo, fs.c.Gates[n].Level+1)
+		}
+	}
+	evals := 0
+	for l := lo; pending > 0; l++ {
+		for _, n := range fs.levels[l] {
+			g := &fs.c.Gates[n]
+			for _, f := range g.Fanin {
+				if fs.valid[f] != gen {
+					fs.cur[f], fs.valid[f] = good[f], gen
+				}
+			}
+			v := sim.EvalPacked(g.Type, g.Fanin, fs.cur)
+			fs.cur[n], fs.valid[n] = v, gen
+			if v != good[n] {
+				pending += fs.changed(n, v, gen)
+			}
+		}
+		evals += len(fs.levels[l])
+		pending -= len(fs.levels[l])
+		fs.levels[l] = fs.levels[l][:0]
+	}
+	fs.stats.gateEvals.Add(int64(evals))
+	return fs.reached
+}
+
+// nextGen starts a propagation: a fresh stamp invalidates every cur and
+// queued entry at once (the stamps are cleared when it wraps).
+func (fs *FaultSim) nextGen() uint32 {
+	fs.gen++
+	if fs.gen == 0 {
+		clear(fs.valid)
+		clear(fs.queued)
+		fs.gen = 1
+	}
+	return fs.gen
+}
+
+// changed records that net n's word v differs from its fault-free word:
+// an output joins the result, and each reader not yet queued joins its
+// level's list. It returns the number of readers queued.
+func (fs *FaultSim) changed(n netlist.NetID, v logic.PV64, gen uint32) int {
+	if i := fs.poOf[n]; i >= 0 {
+		fs.reached = append(fs.reached, POWord{PO: int(i), Val: v})
+	}
+	queued := 0
+	for _, rd := range fs.c.Gates[n].Fanout {
+		if fs.queued[rd] != gen {
+			fs.queued[rd] = gen
+			l := fs.c.Gates[rd].Level
+			fs.levels[l] = append(fs.levels[l], rd)
+			queued++
+		}
+	}
+	return queued
+}
+
 // forceValue returns the packed override for a stuck value.
 func forceValue(v1 bool) logic.PV64 {
 	if v1 {
@@ -245,214 +380,96 @@ func forceValue(v1 bool) logic.PV64 {
 }
 
 // SimulateStuckAt computes the syndrome of a single stuck-at fault over the
-// whole test set using cone-limited propagation. With a cache attached,
-// per-word cone results are replayed or filled as a side effect. The
-// returned syndrome comes from the simulator's arena; callers on the hot
-// path should hand it back with ReleaseSyndrome once folded.
+// whole test set, one Propagate per pattern word. With a cache attached,
+// per-word results are replayed or filled as a side effect. The returned
+// syndrome comes from the simulator's arena; callers on the hot path
+// should hand it back with ReleaseSyndrome once folded.
 func (fs *FaultSim) SimulateStuckAt(f fault.StuckAt) *Syndrome {
-	return fs.simulateForced(f.Net, forceValue(f.Value1), &f)
+	syn := fs.arena.acquire()
+	fs.stats.sims.Inc()
+	if !fs.reach[f.Net] {
+		return syn // the fault cannot reach any output
+	}
+	force := Force{Net: f.Net, Val: forceValue(f.Value1)}
+	for w := 0; w < fs.nWords; w++ {
+		if fs.cache != nil {
+			if diffs, ok := fs.cachedWord(f, w); ok {
+				for _, d := range diffs {
+					fs.addFails(syn, w, int(d.po), d.diff)
+				}
+				continue
+			}
+		}
+		var diffs []poWordDiff
+		for _, r := range fs.Propagate(w, force) {
+			diff := r.Val.DiffKnown(fs.words[w][fs.c.POs[r.PO]])
+			if diff == 0 {
+				continue
+			}
+			if fs.cache != nil {
+				diffs = append(diffs, poWordDiff{po: int32(r.PO), diff: diff})
+			}
+			fs.addFails(syn, w, r.PO, diff)
+		}
+		if fs.cache != nil {
+			fs.storeWord(f, w, diffs)
+		}
+	}
+	return syn
 }
 
 // SimulateOpen computes the syndrome of a net-open (modelled as a stuck
 // value, see fault.Open). Logic-level behaviour equals the corresponding
 // stuck-at, so opens share its cache entries.
 func (fs *FaultSim) SimulateOpen(o fault.Open) *Syndrome {
-	eq := fault.StuckAt{Net: o.Net, Value1: o.StuckValue1}
-	return fs.simulateForced(o.Net, forceValue(o.StuckValue1), &eq)
+	return fs.SimulateStuckAt(fault.StuckAt{Net: o.Net, Value1: o.StuckValue1})
 }
 
 // SimulateXAt computes, for each pattern, the set of POs that *may* be
-// affected by an unknown value at net id: the net is forced to X and POs
-// receiving X are reported. This is the X-propagation primitive of the
-// consistency check in the diagnosis core.
+// affected by an unknown value at the given nets: the nets are forced to
+// X together, and every PO left at X is reported — including a PO that is
+// X in the fault-free machine already. This is the X-propagation
+// primitive of the consistency check in the diagnosis core.
 func (fs *FaultSim) SimulateXAt(nets []netlist.NetID) []bitset.Set {
-	force := make(map[netlist.NetID]logic.PV64, len(nets))
-	for _, n := range nets {
-		force[n] = logic.PVX
+	forces := make([]Force, len(nets))
+	for i, n := range nets {
+		forces[i] = Force{Net: n, Val: logic.PVX}
 	}
 	out := make([]bitset.Set, len(fs.pats))
-	fs.statXWords.Add(int64(fs.nWords))
-	s := sim.New(fs.c)
+	xs := make([]uint64, len(fs.c.POs))
+	fs.stats.xWords.Add(int64(fs.nWords))
 	for w := 0; w < fs.nWords; w++ {
-		if err := s.RunWithOverrides(fs.piWords[w], force); err != nil {
-			// Impossible: widths validated at construction.
-			panic(err)
-		}
 		for i, po := range fs.c.POs {
-			xm := s.Value(po).XMask()
-			if xm == 0 {
-				continue
-			}
-			for slot := uint(0); slot < logic.W; slot++ {
-				p := w*logic.W + int(slot)
+			xs[i] = fs.words[w][po].XMask()
+		}
+		for _, r := range fs.Propagate(w, forces...) {
+			xs[r.PO] = r.Val.XMask()
+		}
+		for i, m := range xs {
+			for ; m != 0; m &= m - 1 {
+				p := w*logic.W + tz64(m)
 				if p >= len(fs.pats) {
 					break
 				}
-				if xm>>slot&1 == 1 {
-					if out[p] == nil {
-						out[p] = bitset.New(len(fs.c.POs))
-					}
-					out[p].Add(i)
+				if out[p] == nil {
+					out[p] = bitset.New(len(fs.c.POs))
 				}
+				out[p].Add(i)
 			}
 		}
 	}
 	return out
 }
 
-// simulateForced runs cone-limited packed simulation with one net forced
-// to a stuck value, comparing POs in the fan-out cone of the forced net
-// against the cached fault-free responses. cacheF, when a cache is
-// attached, keys per-word result memoization. This is the innermost loop
-// of candidate scoring: it evaluates only the fault's output-cone delta —
-// the cone gates in topological order — against the cached good-machine
-// words, touches no map, allocates nothing besides the pooled syndrome
-// (and, when filling a cache, the stored diff slices), and reuses the
-// fork-private marking/ordering scratch across candidates.
-func (fs *FaultSim) simulateForced(forceNet netlist.NetID, forceVal logic.PV64, cacheF *fault.StuckAt) *Syndrome {
-	syn := fs.arena.acquire()
-	if fs.cache == nil {
-		cacheF = nil
+// addFails records PO po failing on the patterns of word w set in diff.
+func (fs *FaultSim) addFails(syn *Syndrome, w, po int, diff uint64) {
+	for ; diff != 0; diff &= diff - 1 {
+		p := w*logic.W + tz64(diff)
+		if p >= len(fs.pats) {
+			break
+		}
+		fs.addFail(syn, p, po)
 	}
-
-	// Mark the fanout cone of the forced net (iterative DFS, persistent
-	// stack/touched scratch).
-	fs.touched = append(fs.touched[:0], forceNet)
-	fs.stack = append(fs.stack[:0], forceNet)
-	fs.inCone[forceNet] = true
-	for len(fs.stack) > 0 {
-		x := fs.stack[len(fs.stack)-1]
-		fs.stack = fs.stack[:len(fs.stack)-1]
-		for _, rd := range fs.c.Gates[x].Fanout {
-			if !fs.inCone[rd] {
-				fs.inCone[rd] = true
-				fs.touched = append(fs.touched, rd)
-				fs.stack = append(fs.stack, rd)
-			}
-		}
-	}
-	defer func() {
-		for _, n := range fs.touched {
-			fs.inCone[n] = false
-		}
-	}()
-
-	fs.statSims.Inc()
-	fs.statConeSize.Observe(int64(len(fs.touched)))
-
-	// POs inside the cone, by index.
-	fs.conePOs = fs.conePOs[:0]
-	for i, po := range fs.c.POs {
-		if fs.inCone[po] {
-			fs.conePOs = append(fs.conePOs, int32(i))
-		}
-	}
-	if len(fs.conePOs) == 0 {
-		return syn // fault cannot reach any output
-	}
-
-	// Order the cone topologically: sort the touched nets by (level, id)
-	// once per fault, so each word pass walks only the cone instead of
-	// filtering the full-circuit level order.
-	fs.coneKeys = fs.coneKeys[:0]
-	for _, n := range fs.touched {
-		fs.coneKeys = append(fs.coneKeys, uint64(fs.c.Gates[n].Level)<<32|uint64(uint32(n)))
-	}
-	slices.Sort(fs.coneKeys)
-
-	for w := 0; w < fs.nWords; w++ {
-		if cacheF != nil {
-			if diffs, ok := fs.cachedWord(*cacheF, w); ok {
-				fs.replayWord(syn, w, diffs)
-				continue
-			}
-		}
-		fs.statConeEvals.Add(int64(len(fs.touched)))
-		good := fs.words[w]
-		// Evaluate only cone gates; values outside the cone are the good
-		// values. fs.cur holds faulty values for cone nets.
-		for _, key := range fs.coneKeys {
-			id := netlist.NetID(uint32(key))
-			if id == forceNet {
-				fs.cur[id] = forceVal
-				continue
-			}
-			g := &fs.c.Gates[id]
-			if g.Type == netlist.Input {
-				fs.cur[id] = good[id]
-				continue
-			}
-			fs.cur[id] = evalPackedCone(g.Type, g.Fanin, fs.cur, good, fs.inCone)
-		}
-		var diffs []poWordDiff
-		for _, pi := range fs.conePOs {
-			po := fs.c.POs[pi]
-			diff := fs.cur[po].DiffKnown(good[po])
-			if diff == 0 {
-				continue
-			}
-			if cacheF != nil {
-				diffs = append(diffs, poWordDiff{po: pi, diff: diff})
-			}
-			base := w * logic.W
-			for m := diff; m != 0; m &= m - 1 {
-				p := base + tz64(m)
-				if p >= len(fs.pats) {
-					break
-				}
-				fs.addFail(syn, p, int(pi))
-			}
-		}
-		if cacheF != nil {
-			fs.storeWord(*cacheF, w, diffs)
-		}
-	}
-	return syn
-}
-
-// evalPackedCone evaluates one gate reading faulty values for fan-in nets
-// inside the cone and cached good-machine values for everything else.
-func evalPackedCone(t netlist.GateType, fanin []netlist.NetID, cur, good []logic.PV64, inCone []bool) logic.PV64 {
-	in := func(f netlist.NetID) logic.PV64 {
-		if inCone[f] {
-			return cur[f]
-		}
-		return good[f]
-	}
-	switch t {
-	case netlist.Buf:
-		return in(fanin[0])
-	case netlist.Not:
-		return in(fanin[0]).Not()
-	case netlist.And, netlist.Nand:
-		acc := in(fanin[0])
-		for _, f := range fanin[1:] {
-			acc = acc.And(in(f))
-		}
-		if t == netlist.Nand {
-			acc = acc.Not()
-		}
-		return acc
-	case netlist.Or, netlist.Nor:
-		acc := in(fanin[0])
-		for _, f := range fanin[1:] {
-			acc = acc.Or(in(f))
-		}
-		if t == netlist.Nor {
-			acc = acc.Not()
-		}
-		return acc
-	case netlist.Xor, netlist.Xnor:
-		acc := in(fanin[0])
-		for _, f := range fanin[1:] {
-			acc = acc.Xor(in(f))
-		}
-		if t == netlist.Xnor {
-			acc = acc.Not()
-		}
-		return acc
-	}
-	return logic.PVX
 }
 
 // tz64 returns the position of m's lowest set bit.

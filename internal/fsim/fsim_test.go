@@ -1,13 +1,17 @@
 package fsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
+	"multidiag/internal/bitset"
 	"multidiag/internal/circuits"
 	"multidiag/internal/fault"
 	"multidiag/internal/logic"
 	"multidiag/internal/netlist"
+	"multidiag/internal/obs"
 	"multidiag/internal/sim"
 )
 
@@ -225,6 +229,148 @@ func TestSimulateXAt(t *testing.T) {
 	}
 }
 
+// TestSimulateXAtMatchesScalar: with every site forced to X, SimulateXAt
+// reports on each pattern exactly the POs that EvalScalar leaves at X,
+// including POs that are X in the fault-free machine already.
+func TestSimulateXAtMatchesScalar(t *testing.T) {
+	goodX := 0
+	for seed := int64(0); seed < 4; seed++ {
+		c, err := circuits.Generate(circuits.GenConfig{Seed: seed, NumPIs: 8, NumGates: 100, NumPOs: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(seed + 90))
+		pats := randomPatterns(r, len(c.PIs), 2*logic.W+5)
+		for _, p := range pats {
+			if r.Intn(3) == 0 {
+				p[r.Intn(len(p))] = logic.X
+			}
+		}
+		fs, err := NewFaultSim(c, pats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 6; trial++ {
+			sites := make([]netlist.NetID, 2+r.Intn(3))
+			force := map[netlist.NetID]logic.Value{}
+			for i := range sites {
+				sites[i] = netlist.NetID(r.Intn(c.NumGates()))
+				force[sites[i]] = logic.X
+			}
+			xs := fs.SimulateXAt(sites)
+			for p, pat := range pats {
+				vals, err := sim.EvalScalar(c, pat, force)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, po := range c.POs {
+					want := vals[po] == logic.X
+					if got := xs[p] != nil && xs[p].Has(i); got != want {
+						t.Fatalf("seed %d trial %d pattern %d PO %d: X reported %v, EvalScalar says %v", seed, trial, p, i, got, want)
+					}
+					if fs.GoodValue(po, p) == logic.X {
+						goodX++
+					}
+				}
+			}
+		}
+	}
+	if goodX == 0 {
+		t.Fatal("fixture has no output that is X in the fault-free machine")
+	}
+}
+
+// TestPropagateMatchesScalarForce: on generated circuits under more than
+// one word of patterns, some carrying X inputs, forcing one to three nets
+// (primary inputs, nets downstream of another forced net and repeated
+// nets included) to random three-valued words gives, at every PO of every
+// pattern, the value EvalScalar computes with the same nets forced, and
+// Propagate reports exactly the POs whose word changed.
+func TestPropagateMatchesScalarForce(t *testing.T) {
+	values := []logic.Value{logic.Zero, logic.One, logic.X}
+	for seed := int64(0); seed < 4; seed++ {
+		c, err := circuits.Generate(circuits.GenConfig{Seed: seed, NumPIs: 8, NumGates: 80, NumPOs: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(seed + 7))
+		pats := randomPatterns(r, len(c.PIs), logic.W+20)
+		for _, p := range pats {
+			if r.Intn(4) == 0 {
+				p[r.Intn(len(p))] = logic.X
+			}
+		}
+		fs, err := NewFaultSim(c, pats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 40; trial++ {
+			forces := make([]Force, 1+r.Intn(3))
+			for i := range forces {
+				n := netlist.NetID(r.Intn(c.NumGates()))
+				switch {
+				case i == 0 && trial%5 == 0:
+					n = c.PIs[r.Intn(len(c.PIs))]
+				case i > 0 && r.Intn(2) == 0 && len(c.Gates[forces[i-1].Net].Fanout) > 0:
+					fo := c.Gates[forces[i-1].Net].Fanout
+					n = fo[r.Intn(len(fo))]
+				case i > 0 && r.Intn(4) == 0:
+					n = forces[i-1].Net
+				}
+				var v logic.PV64
+				for slot := uint(0); slot < logic.W; slot++ {
+					v = v.Set(slot, values[r.Intn(3)])
+				}
+				forces[i] = Force{Net: n, Val: v}
+			}
+			for w := 0; w < fs.NumWords(); w++ {
+				got := make([]logic.PV64, len(c.POs))
+				for i, po := range c.POs {
+					got[i] = fs.GoodWord(po, w)
+				}
+				for _, pw := range fs.Propagate(w, forces...) {
+					if pw.Val == fs.GoodWord(c.POs[pw.PO], w) {
+						t.Fatalf("seed %d trial %d: PO %d reported with its fault-free word", seed, trial, pw.PO)
+					}
+					got[pw.PO] = pw.Val
+				}
+				for p := w * logic.W; p < min((w+1)*logic.W, len(pats)); p++ {
+					force := map[netlist.NetID]logic.Value{}
+					for _, f := range forces {
+						force[f.Net] = f.Val.Get(uint(p % logic.W))
+					}
+					want, err := sim.EvalScalar(c, pats[p], force)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, po := range c.POs {
+						if g := got[i].Get(uint(p % logic.W)); g != want[po] {
+							t.Fatalf("seed %d trial %d pattern %d PO %s: Propagate %v, EvalScalar %v",
+								seed, trial, p, c.NameOf(po), g, want[po])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPropagateNoChange: forcing nets to their own fault-free words
+// reaches no output and evaluates no gate.
+func TestPropagateNoChange(t *testing.T) {
+	c := c17(t)
+	fs, _ := NewFaultSim(c, exhaustivePatterns(5))
+	reg := obs.NewRegistry()
+	fs.Observe(reg)
+	g11, g22 := c.NetByName("G11"), c.NetByName("G22")
+	if got := fs.Propagate(0, Force{Net: g11, Val: fs.GoodWord(g11, 0)}, Force{Net: g22, Val: fs.GoodWord(g22, 0)}); len(got) != 0 {
+		t.Fatalf("no-op forces reached %d outputs", len(got))
+	}
+	if n := reg.Counter("fsim.cone_gate_word_evals").Value(); n != 0 {
+		t.Fatalf("no-op forces evaluated %d gate words", n)
+	}
+}
+
 func TestCoverage(t *testing.T) {
 	c := c17(t)
 	pats := exhaustivePatterns(5)
@@ -290,14 +436,9 @@ func TestNewFaultSimEmpty(t *testing.T) {
 
 func TestCPTMatchesBruteForceC17(t *testing.T) {
 	c := c17(t)
-	cpt := NewCPT(c)
-	for m := 0; m < 32; m++ {
-		p := exhaustivePatterns(5)[m]
-		for _, po := range c.POs {
-			got, vals, err := cpt.Critical(p, po)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for m, p := range exhaustivePatterns(5) {
+		for i, po := range c.POs {
+			got, _ := traceOne(t, c, p, i)
 			want, err := BruteForceCritical(c, p, po)
 			if err != nil {
 				t.Fatal(err)
@@ -308,7 +449,6 @@ func TestCPTMatchesBruteForceC17(t *testing.T) {
 						m, c.NameOf(po), c.NameOf(netlist.NetID(id)), got[id], want[id])
 				}
 			}
-			_ = vals
 		}
 	}
 }
@@ -319,63 +459,147 @@ func TestCPTMatchesBruteForceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpt := NewCPT(c)
 		r := rand.New(rand.NewSource(seed + 50))
 		for trial := 0; trial < 10; trial++ {
 			p := randomPatterns(r, len(c.PIs), 1)[0]
-			po := c.POs[r.Intn(len(c.POs))]
-			got, _, err := cpt.Critical(p, po)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := BruteForceCritical(c, p, po)
+			i := r.Intn(len(c.POs))
+			got, _ := traceOne(t, c, p, i)
+			want, err := BruteForceCritical(c, p, c.POs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
 			for id := range got {
 				if got[id] != want[id] {
 					t.Fatalf("seed %d trial %d po %s net %s: cpt %v brute %v",
-						seed, trial, c.NameOf(po), c.NameOf(netlist.NetID(id)), got[id], want[id])
+						seed, trial, c.NameOf(c.POs[i]), c.NameOf(netlist.NetID(id)), got[id], want[id])
 				}
 			}
 		}
 	}
 }
 
-// TestCPTSelfMaskingStem builds the pathological case where a stem is
-// critical although none of its branches' reader outputs are critical:
-// po = AND(x, y) with x, y both 0, and flipping the stem flips both.
+// TestCPTMatchesBruteForceProperty: on generated circuits of up to 150
+// gates under more than one word of patterns, some of them carrying X
+// inputs, with a random set of failing outputs on every pattern, the
+// exact tracer's critical set for each (determinate pattern, failing PO)
+// equals BruteForceCritical, and the hypotheses it yields are the
+// critical nets at the complement of their EvalScalar values.
+func TestCPTMatchesBruteForceProperty(t *testing.T) {
+	prop := func(seed int64, gates, npats uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		c, err := circuits.Generate(circuits.GenConfig{Seed: seed, NumPIs: 6 + r.Intn(5), NumGates: 20 + int(gates)%131, NumPOs: 2 + r.Intn(5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats := randomPatterns(r, len(c.PIs), logic.W+1+int(npats)%100)
+		fails := make([][]int, len(pats))
+		for p, pat := range pats {
+			if r.Intn(4) == 0 {
+				pat[r.Intn(len(pat))] = logic.X
+			}
+			for i := range c.POs {
+				if r.Intn(3) == 0 {
+					fails[p] = append(fails[p], i)
+				}
+			}
+		}
+		crit, seeds := traceFails(t, c, pats, fails, 1+r.Intn(3))
+		for p, pat := range pats {
+			if !determinate(pat) {
+				continue
+			}
+			vals, err := sim.EvalScalar(c, pat, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[fault.StuckAt]bool{}
+			for k, po := range fails[p] {
+				brute, err := BruteForceCritical(c, pat, c.POs[po])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for n, cr := range brute {
+					if crit[p][k][n] != cr {
+						t.Logf("seed %d pattern %d po %d net %s: cpt %v brute %v", seed, p, po, c.NameOf(netlist.NetID(n)), crit[p][k][n], cr)
+						return false
+					}
+					if cr {
+						want[fault.StuckAt{Net: netlist.NetID(n), Value1: vals[n] == logic.Zero}] = true
+					}
+				}
+			}
+			if len(seeds[p]) != len(want) {
+				t.Logf("seed %d pattern %d: %d hypotheses, want %d", seed, p, len(seeds[p]), len(want))
+				return false
+			}
+			for f := range seeds[p] {
+				if !want[f] {
+					t.Logf("seed %d pattern %d: hypothesis %s has the wrong net or polarity", seed, p, f.Name(c))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// determinate reports whether a pattern has no X input.
+func determinate(p sim.Pattern) bool {
+	for _, v := range p {
+		if !v.IsKnown() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCPTSelfMaskingStem pins the two reconvergent cases approximate CPT
+// gets wrong. In po = AND(BUF(s), BUF(s)) at s = 0, flipping s flips po
+// although flipping either branch alone does not: s is critical, and the
+// approximation, which only follows sensitive branches, misses it. In
+// po = XOR(BUF(s), BUF(s)), po is 0 whatever s is, so s is never
+// critical, yet each branch alone is sensitive and the approximation
+// marks it. Exact CPT matches BruteForceCritical on both.
 func TestCPTSelfMaskingStem(t *testing.T) {
-	c := netlist.NewCircuit("mask")
-	s := c.MustAddGate(netlist.Input, "s")
-	e := c.MustAddGate(netlist.Input, "e")
-	x := c.MustAddGate(netlist.And, "x", s, e)
-	y := c.MustAddGate(netlist.Or, "y", s, e)
-	po := c.MustAddGate(netlist.And, "po", x, y)
-	if err := c.MarkPO(po); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	// s=0, e=1: x=0, y=1, po=0. Flip s → x=1, y=1, po=1: s critical.
-	// Flip x alone → po = AND(1,1)... wait y=1 so x IS critical here.
-	// Use e=1, s=0: x=0 (critical since y=1), fine — now the exactness is
-	// checked against brute force anyway for both input combinations.
-	cpt := NewCPT(c)
-	for m := 0; m < 4; m++ {
-		p := sim.Pattern{logic.FromBool(m&1 == 1), logic.FromBool(m&2 == 2)}
-		got, _, err := cpt.Critical(p, po)
-		if err != nil {
+	for _, tc := range []struct {
+		typ    netlist.GateType
+		vals   []logic.Value
+		stemOK bool // whether s is critical
+	}{
+		{netlist.And, []logic.Value{logic.Zero}, true},
+		{netlist.Xor, []logic.Value{logic.Zero, logic.One}, false},
+	} {
+		c := netlist.NewCircuit("mask")
+		s := c.MustAddGate(netlist.Input, "s")
+		a := c.MustAddGate(netlist.Buf, "a", s)
+		b := c.MustAddGate(netlist.Buf, "b", s)
+		po := c.MustAddGate(tc.typ, "po", a, b)
+		if err := c.MarkPO(po); err != nil {
 			t.Fatal(err)
 		}
-		want, err := BruteForceCritical(c, p, po)
-		if err != nil {
+		if err := c.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		for id := range got {
-			if got[id] != want[id] {
-				t.Fatalf("m=%d net %s: cpt %v brute %v", m, c.NameOf(netlist.NetID(id)), got[id], want[id])
+		for _, v := range tc.vals {
+			p := sim.Pattern{v}
+			exact, approx := traceOne(t, c, p, 0)
+			want, err := BruteForceCritical(c, p, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range want {
+				if exact[id] != want[id] {
+					t.Fatalf("%v s=%v net %s: exact %v brute %v", tc.typ, v, c.NameOf(netlist.NetID(id)), exact[id], want[id])
+				}
+			}
+			if exact[s] != tc.stemOK {
+				t.Fatalf("%v s=%v: exact marks s critical=%v, want %v", tc.typ, v, exact[s], tc.stemOK)
+			}
+			if approx[s] == exact[s] {
+				t.Fatalf("%v s=%v: approximate CPT agrees with exact on s (%v)", tc.typ, v, exact[s])
 			}
 		}
 	}
@@ -388,21 +612,16 @@ func TestCPTCandidateProperty(t *testing.T) {
 	c := c17(t)
 	pats := exhaustivePatterns(5)
 	fs, _ := NewFaultSim(c, pats)
-	cpt := NewCPT(c)
 	for pIdx := 0; pIdx < len(pats); pIdx += 5 {
-		p := pats[pIdx]
-		for poIdx, po := range c.POs {
-			crit, vals, err := cpt.Critical(p, po)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for poIdx := range c.POs {
+			crit, _ := traceOne(t, c, pats[pIdx], poIdx)
 			for id := range c.Gates {
 				n := netlist.NetID(id)
-				if !vals[n].IsKnown() {
+				v := fs.GoodValue(n, pIdx)
+				if !v.IsKnown() {
 					continue
 				}
-				f := fault.StuckAt{Net: n, Value1: vals[n] == logic.Zero}
-				syn := fs.SimulateStuckAt(f)
+				syn := fs.SimulateStuckAt(fault.StuckAt{Net: n, Value1: v == logic.Zero})
 				observed := syn.Fails[pIdx] != nil && syn.Fails[pIdx].Has(poIdx)
 				if crit[n] != observed {
 					t.Fatalf("pattern %d po %d net %s: critical=%v observed=%v",
@@ -413,21 +632,33 @@ func TestCPTCandidateProperty(t *testing.T) {
 	}
 }
 
+// TestCriticalForOutputs: tracing several failing outputs of every
+// pattern of a word at once yields, per net, the union of the per-output
+// masks handed to perPO.
 func TestCriticalForOutputs(t *testing.T) {
 	c := c17(t)
-	cpt := NewCPT(c)
-	p := exhaustivePatterns(5)[13]
-	union, per, _, err := cpt.CriticalForOutputs(p, c.POs)
-	if err != nil {
-		t.Fatal(err)
+	pats := exhaustivePatterns(5)
+	fs, _ := NewFaultSim(c, pats)
+	fails := make([]bitset.Set, len(pats))
+	for p := range fails {
+		fails[p] = bitset.New(len(c.POs))
+		fails[p].Add(0)
+		fails[p].Add(1)
 	}
-	if len(per) != 2 {
-		t.Fatalf("per-output count %d", len(per))
+	want := make([]uint64, c.NumGates())
+	calls := 0
+	union := fs.CriticalWord(context.Background(), 0, fails, false, 1, func(po int, crit []uint64) {
+		calls++
+		for n, m := range crit {
+			want[n] |= m
+		}
+	})
+	if calls != 2 {
+		t.Fatalf("perPO called %d times, want 2", calls)
 	}
-	for id := range union {
-		want := per[0][id] || per[1][id]
-		if union[id] != want {
-			t.Fatalf("union wrong at net %d", id)
+	for n := range union {
+		if union[n] != want[n] {
+			t.Fatalf("union wrong at net %s: %x, want %x", c.NameOf(netlist.NetID(n)), union[n], want[n])
 		}
 	}
 }
@@ -441,35 +672,31 @@ func TestApproxCPTAgainstExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpt := NewCPT(c)
 	r := rand.New(rand.NewSource(8))
 	pats := randomPatterns(r, len(c.PIs), 6)
-	refs := make([]int, c.NumGates())
-	for i := range c.Gates {
-		for _, f := range c.Gates[i].Fanin {
-			refs[f]++
+	fs, err := NewFaultSim(c, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := make([]bitset.Set, len(pats))
+	for p := range fails {
+		fails[p] = bitset.New(len(c.POs))
+		for i := range c.POs {
+			fails[p].Add(i)
 		}
 	}
-	for _, p := range pats {
-		exact, _, _, err := cpt.CriticalForOutputs(p, c.POs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, _, err := cpt.CriticalApproxForOutputs(p, c.POs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range c.Gates {
-			if refs[id] <= 1 && exact[id] != approx[id] {
-				// Fanout-free nets propagate criticality identically under
-				// both rules *unless* a stem above them diverges; only flag
-				// when the driver-side chain up to the next stem agrees.
-				// Simplest sound check: a net whose entire fanout chain to
-				// the PO is fanout-free must agree.
-				if fanoutFreeToPO(c, netlist.NetID(id), refs) {
-					t.Fatalf("fanout-free net %s: exact %v approx %v",
-						c.NameOf(netlist.NetID(id)), exact[id], approx[id])
-				}
+	exact := append([]uint64(nil), fs.CriticalWord(context.Background(), 0, fails, false, 1, nil)...)
+	approx := fs.CriticalWord(context.Background(), 0, fails, true, 1, nil)
+	for id := range c.Gates {
+		if exact[id] != approx[id] && fs.refs[id] <= 1 {
+			// Fanout-free nets propagate criticality identically under
+			// both rules *unless* a stem above them diverges; only flag
+			// when the chain on the driving side up to the next stem agrees.
+			// Simplest sound check: a net whose entire fanout chain to
+			// the PO is fanout-free must agree.
+			if fanoutFreeToPO(c, netlist.NetID(id), fs.refs) {
+				t.Fatalf("fanout-free net %s: exact %x approx %x",
+					c.NameOf(netlist.NetID(id)), exact[id], approx[id])
 			}
 		}
 	}
@@ -477,7 +704,7 @@ func TestApproxCPTAgainstExact(t *testing.T) {
 
 // fanoutFreeToPO reports whether the unique reader chain from n reaches a
 // PO without crossing any fanout stem.
-func fanoutFreeToPO(c *netlist.Circuit, n netlist.NetID, refs []int) bool {
+func fanoutFreeToPO(c *netlist.Circuit, n netlist.NetID, refs []int32) bool {
 	for {
 		if c.IsPO(n) {
 			return true
@@ -487,4 +714,69 @@ func fanoutFreeToPO(c *netlist.Circuit, n netlist.NetID, refs []int) bool {
 		}
 		n = c.Gates[n].Fanout[0]
 	}
+}
+
+// traceFails runs the exact tracer, on the given number of workers, over
+// every pattern's failing outputs, X patterns included: crit[p][k] is the
+// critical set of PO fails[p][k], and seeds[p] the stuck-at-complement
+// hypotheses of their union.
+func traceFails(t *testing.T, c *netlist.Circuit, pats []sim.Pattern, fails [][]int, workers int) (crit [][][]bool, seeds []map[fault.StuckAt]bool) {
+	t.Helper()
+	fs, err := NewFaultSim(c, pats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := make([]bitset.Set, len(pats))
+	for p := range pats {
+		if len(fails[p]) > 0 {
+			sets[p] = bitset.New(len(c.POs))
+			for _, po := range fails[p] {
+				sets[p].Add(po)
+			}
+		}
+	}
+	crit = make([][][]bool, len(pats))
+	seeds = make([]map[fault.StuckAt]bool, len(pats))
+	for w := 0; w < fs.NumWords(); w++ {
+		perPO := map[int][]uint64{}
+		union := fs.CriticalWord(context.Background(), w, sets, false, workers, func(po int, m []uint64) {
+			perPO[po] = append([]uint64(nil), m...)
+		})
+		for p := w * logic.W; p < min((w+1)*logic.W, len(pats)); p++ {
+			for _, po := range fails[p] {
+				crit[p] = append(crit[p], maskSet(perPO[po], p))
+			}
+			seeds[p] = map[fault.StuckAt]bool{}
+			for n, cr := range maskSet(union, p) {
+				if v := fs.GoodValue(netlist.NetID(n), p); cr && v.IsKnown() {
+					seeds[p][fault.StuckAt{Net: netlist.NetID(n), Value1: v == logic.Zero}] = true
+				}
+			}
+		}
+	}
+	return crit, seeds
+}
+
+// maskSet reads pattern p's slot out of per-net pattern masks.
+func maskSet(masks []uint64, p int) []bool {
+	set := make([]bool, len(masks))
+	for n, m := range masks {
+		set[n] = m>>uint(p%logic.W)&1 == 1
+	}
+	return set
+}
+
+// traceOne returns the exact and the approximate critical sets of PO
+// index po under the single pattern p.
+func traceOne(t *testing.T, c *netlist.Circuit, p sim.Pattern, po int) (exact, approx []bool) {
+	t.Helper()
+	fs, err := NewFaultSim(c, []sim.Pattern{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := []bitset.Set{bitset.New(len(c.POs))}
+	fails[0].Add(po)
+	exact = maskSet(fs.CriticalWord(context.Background(), 0, fails, false, 1, nil), 0)
+	approx = maskSet(fs.CriticalWord(context.Background(), 0, fails, true, 1, nil), 0)
+	return exact, approx
 }

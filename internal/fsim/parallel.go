@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"multidiag/internal/fault"
-	"multidiag/internal/logic"
 	"multidiag/internal/prof"
 )
 
@@ -56,31 +55,28 @@ func batchChunkSize(n, workers int) int {
 }
 
 // Fork returns a simulator sharing fs's immutable packed state (fault-free
-// words, packed PI vectors, pattern set, PO index, syndrome arena,
-// attached cache and observability counters) with private propagation
-// scratch. The fork and its parent may simulate concurrently; neither is
-// individually safe for concurrent use by multiple goroutines. Prefer
+// words, pattern set, per-circuit tables, syndrome arena, attached cache
+// and observability counters) with private propagation scratch. The fork
+// and its parent may simulate concurrently; neither is individually safe
+// for concurrent use by multiple goroutines. Prefer
 // AcquireFork/ReleaseFork on repeated batches — it recycles fork scratch
 // through the root's free list.
 func (fs *FaultSim) Fork() *FaultSim {
-	return &FaultSim{
+	k := &FaultSim{
 		c:       fs.c,
 		pats:    fs.pats,
 		words:   fs.words,
-		piWords: fs.piWords,
 		nWords:  fs.nWords,
-		cur:     make([]logic.PV64, fs.c.NumGates()),
-		inCone:  make([]bool, fs.c.NumGates()),
-		poIndex: fs.poIndex,
+		poOf:    fs.poOf,
+		refs:    fs.refs,
+		reach:   fs.reach,
 		cache:   fs.cache,
 		arena:   fs.arena,
 		rootSim: fs.root(),
-
-		statSims:      fs.statSims,
-		statConeEvals: fs.statConeEvals,
-		statXWords:    fs.statXWords,
-		statConeSize:  fs.statConeSize,
+		stats:   fs.stats,
 	}
+	k.newScratch()
+	return k
 }
 
 // SimulateStuckAtBatch simulates every fault and returns the syndromes in

@@ -19,35 +19,6 @@ func (c *Circuit) FaninCone(root NetID) []bool {
 	return in
 }
 
-// FaninConeInto is FaninCone writing into caller scratch: in is cleared
-// and filled (grown if short), stack is used for the traversal. Both are
-// returned for reuse on the next call. Hot loops tracing many cones (CPT
-// over every failing output) use this to avoid one O(gates) allocation
-// per cone.
-func (c *Circuit) FaninConeInto(root NetID, in []bool, stack []NetID) ([]bool, []NetID) {
-	if cap(in) < len(c.Gates) {
-		in = make([]bool, len(c.Gates))
-	} else {
-		in = in[:len(c.Gates)]
-		for i := range in {
-			in[i] = false
-		}
-	}
-	stack = append(stack[:0], root)
-	in[root] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range c.Gates[n].Fanin {
-			if !in[f] {
-				in[f] = true
-				stack = append(stack, f)
-			}
-		}
-	}
-	return in, stack
-}
-
 // FanoutCone returns the set of nets in the transitive fan-out of root
 // (including root itself), as a boolean slice indexed by NetID. Requires a
 // finalized circuit.

@@ -40,23 +40,3 @@ func BenchmarkScalarSimulate(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkEventPropagate measures incremental single-net perturbation.
-func BenchmarkEventPropagate(b *testing.B) {
-	c := randomCircuit(b, 1, 32, 2000)
-	es := NewEventSim(c)
-	p := make(Pattern, len(c.PIs))
-	for i := range p {
-		p[i] = logic.FromBool(i%2 == 0)
-	}
-	if err := es.Baseline(p, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := c.PIs[i%len(c.PIs)]
-		_, restore := es.PropagateFrom(n, es.Value(n).Not())
-		restore()
-	}
-}

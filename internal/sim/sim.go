@@ -5,8 +5,9 @@
 //     that evaluates 64 patterns per pass and is the workhorse behind fault
 //     simulation, diagnosis and the experiment harness;
 //   - a scalar three-valued evaluator (EvalScalar) used where per-pattern
-//     flexibility matters more than throughput, e.g. X-masking analysis and
-//     critical path tracing.
+//     flexibility matters more than throughput (the two-pattern delay
+//     model, diagnostic test generation) and as the reference the packed
+//     engines are tested against.
 //
 // Both simulators share the gate semantics defined by the logic package, so
 // the property "packed ≡ scalar" is testable and tested.
@@ -114,36 +115,6 @@ func (s *Simulator) Run(piVals []logic.PV64) error {
 	return nil
 }
 
-// RunWithOverrides simulates like Run but forces the listed nets to fixed
-// packed values after their natural evaluation; downstream gates observe the
-// forced value. This is the primitive under stuck-at fault simulation and
-// X-injection: forcing net n to PVX models "value unknown at n".
-//
-// Overrides on primary inputs replace the applied value.
-func (s *Simulator) RunWithOverrides(piVals []logic.PV64, force map[netlist.NetID]logic.PV64) error {
-	if len(piVals) != len(s.c.PIs) {
-		return fmt.Errorf("sim: got %d PI vectors, want %d", len(piVals), len(s.c.PIs))
-	}
-	for i, pi := range s.c.PIs {
-		s.vals[pi] = piVals[i]
-		if fv, ok := force[pi]; ok {
-			s.vals[pi] = fv
-		}
-	}
-	for _, id := range s.c.LevelOrder() {
-		g := &s.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
-		}
-		v := EvalPacked(g.Type, g.Fanin, s.vals)
-		if fv, ok := force[id]; ok {
-			v = fv
-		}
-		s.vals[id] = v
-	}
-	return nil
-}
-
 // Value returns the packed value of net id from the most recent Run.
 func (s *Simulator) Value(id netlist.NetID) logic.PV64 { return s.vals[id] }
 
@@ -241,8 +212,8 @@ func EvalScalarGate(t netlist.GateType, fanin []netlist.NetID, val func(netlist.
 }
 
 // EvalScalar simulates one pattern through the whole circuit and returns the
-// per-net scalar values. force, if non-nil, pins nets to fixed values (the
-// scalar analogue of RunWithOverrides).
+// per-net scalar values. force, if non-nil, pins nets to fixed values: the
+// scalar reference for fsim's forced propagation.
 func EvalScalar(c *netlist.Circuit, p Pattern, force map[netlist.NetID]logic.Value) ([]logic.Value, error) {
 	if len(p) != len(c.PIs) {
 		return nil, fmt.Errorf("sim: pattern width %d, want %d", len(p), len(c.PIs))

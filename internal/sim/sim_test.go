@@ -242,44 +242,8 @@ func TestPackErrors(t *testing.T) {
 	if err := s.Run(make([]logic.PV64, 3)); err == nil {
 		t.Error("Run with wrong PI count accepted")
 	}
-	if err := s.RunWithOverrides(make([]logic.PV64, 3), nil); err == nil {
-		t.Error("RunWithOverrides with wrong PI count accepted")
-	}
 	if _, err := EvalScalar(c, short, nil); err == nil {
 		t.Error("EvalScalar with wrong width accepted")
-	}
-}
-
-func TestRunWithOverrides(t *testing.T) {
-	c := c17(t)
-	s := New(c)
-	p, _ := ParsePattern("00000")
-	piv, _, _ := s.PackPatterns([]Pattern{p})
-	// With all-0 inputs G10=1, G16 depends on G11=1 → G16 = NAND(0,1)=1, G22= NAND(1,1)=0.
-	if err := s.Run(piv); err != nil {
-		t.Fatal(err)
-	}
-	base22 := s.Value(c.NetByName("G22")).Get(0)
-	// Force G16 stuck-at-0: G22 = NAND(G10=1, 0) = 1 — must flip.
-	err := s.RunWithOverrides(piv, map[netlist.NetID]logic.PV64{
-		c.NetByName("G16"): logic.PVZero,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got22 := s.Value(c.NetByName("G22")).Get(0)
-	if got22 == base22 {
-		t.Fatalf("override had no effect: base %v got %v", base22, got22)
-	}
-	// Force a PI: overriding G1 to 1 must be visible at G1 itself.
-	err = s.RunWithOverrides(piv, map[netlist.NetID]logic.PV64{
-		c.NetByName("G1"): logic.PVOne,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Value(c.NetByName("G1")).Get(0) != logic.One {
-		t.Error("PI override ignored")
 	}
 }
 
@@ -314,58 +278,4 @@ func TestXPropagation(t *testing.T) {
 	if vals2[c.NetByName("G10")] != logic.X {
 		t.Fatalf("G10 = %v, want X", vals2[c.NetByName("G10")])
 	}
-}
-
-func TestEventSimMatchesFullResim(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		c := randomCircuit(t, seed, 8, 80)
-		es := NewEventSim(c)
-		r := rand.New(rand.NewSource(seed + 7))
-		p := make(Pattern, len(c.PIs))
-		for j := range p {
-			p[j] = logic.FromBool(r.Intn(2) == 1)
-		}
-		if err := es.Baseline(p, nil); err != nil {
-			t.Fatal(err)
-		}
-		base := append([]logic.Value(nil), es.Values()...)
-		for trial := 0; trial < 40; trial++ {
-			n := netlist.NetID(r.Intn(c.NumGates()))
-			v := base[n].Not()
-			_, restore := es.PropagateFrom(n, v)
-			// Reference: full scalar sim with the net forced.
-			ref, err := EvalScalar(c, p, map[netlist.NetID]logic.Value{n: v})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id := range ref {
-				if es.Value(netlist.NetID(id)) != ref[id] {
-					t.Fatalf("seed %d trial %d: event sim diverges at %s",
-						seed, trial, c.NameOf(netlist.NetID(id)))
-				}
-			}
-			restore()
-			for id := range base {
-				if es.Value(netlist.NetID(id)) != base[id] {
-					t.Fatalf("restore failed at net %d", id)
-				}
-			}
-		}
-	}
-}
-
-func TestEventSimNoChange(t *testing.T) {
-	c := c17(t)
-	es := NewEventSim(c)
-	p, _ := ParsePattern("11111")
-	if err := es.Baseline(p, nil); err != nil {
-		t.Fatal(err)
-	}
-	g22 := c.NetByName("G22")
-	cur := es.Value(g22)
-	changed, restore := es.PropagateFrom(g22, cur)
-	if len(changed) != 0 {
-		t.Error("no-op perturbation reported changes")
-	}
-	restore()
 }

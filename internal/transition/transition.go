@@ -17,7 +17,9 @@
 package transition
 
 import (
+	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -401,47 +403,49 @@ func Diagnose(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, lambda floa
 	return res, nil
 }
 
-// extractSeeds is the delay front end: per-failing-output CPT on each
-// failing pair's capture pattern, keeping only the critical nets that
+// extractSeeds is the delay front end: per-failing-output CPT on the
+// failing pairs' capture patterns, keeping only the critical nets that
 // transition between launch and capture (a delay cannot explain a failure
 // through a net that holds its value). Each such net yields the
 // capture-equivalent stuck-at of the transition it makes; the seeds come
 // back sorted by (net, stuck-at-0 first), which is (net, slow-to-rise
 // first). launch[p] holds pair p's fault-free launch values.
 func extractSeeds(c *netlist.Circuit, pairs []Pair, log *tester.Datalog, launch [][]logic.Value) ([]fault.StuckAt, error) {
-	cpt := fsim.NewCPT(c)
-	seen := map[fault.StuckAt]bool{}
-	var seeds []fault.StuckAt
-	for _, p := range log.FailingPatterns() {
-		pos := make([]netlist.NetID, 0, log.Fails[p].Count())
-		for _, poIdx := range log.Fails[p].Members() {
-			pos = append(pos, c.POs[poIdx])
-		}
-		union, _, v2, err := cpt.CriticalForOutputs(pairs[p].Capture, pos)
-		if err != nil {
-			return nil, err
-		}
-		v1 := launch[p]
-		for id, cr := range union {
-			if !cr {
-				continue
-			}
-			n := netlist.NetID(id)
-			if !v1[n].IsKnown() || !v2[n].IsKnown() || v1[n] == v2[n] {
-				continue // no transition at the site: a delay cannot explain it
-			}
-			f := Fault{Net: n, Rise: v2[n] == logic.One}.asStuck()
-			if !seen[f] {
-				seen[f] = true
-				seeds = append(seeds, f)
+	if len(log.Fails) == 0 {
+		return nil, nil
+	}
+	capture := make([]sim.Pattern, len(pairs))
+	for p, pr := range pairs {
+		capture[p] = pr.Capture
+	}
+	fs, err := fsim.NewFaultSim(c, capture)
+	if err != nil {
+		return nil, err
+	}
+	fails := make([]bitset.Set, len(pairs))
+	for p, set := range log.Fails {
+		fails[p] = set
+	}
+	found := bitset.New(2 * c.NumGates())
+	for w := 0; w < fs.NumWords(); w++ {
+		for n, u := range fs.CriticalWord(context.Background(), w, fails, false, 1, nil) {
+			for ; u != 0; u &= u - 1 {
+				p := w*logic.W + bits.TrailingZeros64(u)
+				v1, v2 := launch[p][n], fs.GoodValue(netlist.NetID(n), p)
+				if !v1.IsKnown() || !v2.IsKnown() || v1 == v2 {
+					continue // no transition at the site: a delay cannot explain it
+				}
+				if v2 == logic.One {
+					found.Add(2 * n) // slow-to-rise, listed first
+				} else {
+					found.Add(2*n + 1)
+				}
 			}
 		}
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		if seeds[i].Net != seeds[j].Net {
-			return seeds[i].Net < seeds[j].Net
-		}
-		return !seeds[i].Value1 && seeds[j].Value1
-	})
+	seeds := make([]fault.StuckAt, 0, found.Count())
+	for _, k := range found.Members() {
+		seeds = append(seeds, Fault{Net: netlist.NetID(k / 2), Rise: k%2 == 0}.asStuck())
+	}
 	return seeds, nil
 }
