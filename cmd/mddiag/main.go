@@ -9,10 +9,11 @@
 //
 // -j bounds the fault-parallel worker pool of the core engine's candidate
 // scoring (0 = GOMAXPROCS, 1 = sequential); reports are bit-identical at
-// every worker count. -conecache N attaches an N-entry cone cache and
-// diagnoses twice (cold fill, then the warm replay that is printed);
-// reports are bit-identical in both cache states. scripts/
-// determinism_check.sh holds the engine to both claims in CI.
+// every worker count. -conecache N attaches an N-entry cone cache — the
+// flip store CPT and scoring share, private to the diagnosis otherwise —
+// and diagnoses twice (cold fill, then the warm replay that is printed);
+// reports are bit-identical in both cache states and at any capacity.
+// scripts/determinism_check.sh holds the engine to both claims in CI.
 //
 // The explain subcommand replays the diagnosis with the candidate flight
 // recorder attached and renders a per-candidate lifecycle narrative
@@ -65,7 +66,7 @@ func main() {
 		method  = flag.String("method", "ours", "diagnosis engine: ours|slat|intersect")
 		top     = flag.Int("top", 10, "also list the top-N ranked candidates (ours)")
 		jobs    = flag.Int("j", 0, "fault-parallel workers for candidate scoring (0 = GOMAXPROCS, 1 = sequential; ours)")
-		ccap    = flag.Int("conecache", 0, "attach a cone cache of this capacity and diagnose twice — cold fill, then a warm replay whose report is the one printed; reports must be identical in both states (ours; used by the CI determinism check)")
+		ccap    = flag.Int("conecache", 0, "attach a cone cache (the flip store CPT and scoring share) of this capacity and diagnose twice — cold fill, then a warm replay whose report is the one printed; reports must be identical in both states, and with a capacity too small to hold the flips (ours; used by the CI determinism check)")
 		spanOut = flag.String("span-out", "", "write the diagnosis's span tree as mdtrace JSONL to `file` (.gz compresses; ours)")
 		verbose = flag.Bool("v", false, "print a per-phase timing and counter summary footer")
 	)
@@ -122,7 +123,7 @@ func run(inst prof.Flags, circ, pfile, dfile, method, spanOut string, top, jobs,
 		if ccap > 0 {
 			// Fill the cache with a throwaway pass so the printed report
 			// reflects the warm-cache state; -conecache 0 (the default)
-			// stays on the uncached path.
+			// leaves each diagnosis on its simulator's private store.
 			cfg.ConeCache = fsim.NewConeCache(ccap)
 			if _, err := core.DiagnoseCtx(ctx, c, pats, log, core.Config{Workers: jobs, ConeCache: cfg.ConeCache}); err != nil {
 				return err

@@ -79,13 +79,15 @@ type Config struct {
 	// sequential run. 0 (the default) selects GOMAXPROCS; 1 forces the
 	// sequential engine. The CLIs expose it as -j.
 	Workers int
-	// ConeCache, when set, memoizes per-(fault site, pattern word) cone
-	// simulation results across candidates and — when shared by the caller,
-	// as the experiment campaigns do — across diagnoses of devices built
-	// from one (circuit, test set) workload. The cache binds to the first
-	// workload shape it sees; a mismatched circuit/test set is refused and
-	// the diagnosis runs uncached. Callers observe hit/miss/eviction
-	// counters via ConeCache.Observe.
+	// ConeCache, when set, is the flip store extraction and scoring share
+	// (per (net, pattern word), what flipping the net changes at the
+	// outputs; see fsim.ConeCache) in place of the simulator's private
+	// one. Shared by the caller, as the experiment campaigns, the service
+	// and the volume pipeline do, it carries flips across diagnoses of
+	// devices built from one (circuit, test set) workload. The cache binds
+	// to the first workload shape it sees; a mismatched circuit/test set
+	// is refused and the diagnosis runs on its private store. Callers
+	// observe hit/miss/eviction counters via ConeCache.Observe.
 	ConeCache *fsim.ConeCache
 	// BridgeLevelWindow bounds aggressor search to nets within this many
 	// topological levels of the victim. Default 3.
@@ -348,6 +350,7 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 		folder  *scoreFolder
 		folded  int // seeds folded so far
 		cands   []*Candidate
+		ev      evLookup
 	}
 	var devs []*device
 	var fs *fsim.FaultSim
@@ -457,7 +460,10 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 	}
 	scored := 0
 	for _, dv := range devs {
-		dv.cands = dv.folder.finish()
+		// The folder dies here, its class map with it (the largest object
+		// scoring leaves); refinement only needs the evidence lookup.
+		dv.cands, dv.ev = dv.folder.finish(), dv.folder.ev
+		dv.folder = nil
 		scored += len(dv.cands)
 		reg.Counter("core.candidates_scored").Add(int64(len(dv.cands)))
 		reg.Counter("core.candidates_pruned").Add(int64(len(dv.seeds) - len(dv.cands)))
@@ -467,7 +473,7 @@ func DiagnoseBatch(ctx context.Context, c *netlist.Circuit, pats []sim.Pattern, 
 
 	// Steps 3–5 plus ranking, per device.
 	for _, dv := range devs {
-		if err := finishDiagnosis(ctx, root, c, fs, dv.log, &dv.folder.ev, dv.cands, dv.res, cfg, reg, rec); err != nil {
+		if err := finishDiagnosis(ctx, root, c, fs, dv.log, &dv.ev, dv.cands, dv.res, cfg, reg, rec); err != nil {
 			return results, errs, err
 		}
 		dv.res.Elapsed = time.Since(dv.start)
@@ -863,8 +869,9 @@ func (l *evLookup) get(p, po int) int {
 // byte-identical reports.
 //
 // The folder owns all per-seed scratch: the class-signature byte buffer
-// (per failing pattern its index, then each failing PO + 1, as uvarints,
-// then a 0; looked up with the map[string]-on-[]byte idiom), a
+// (per failing pattern its index, then its failing POs delta-coded — the
+// first as PO + 1, each next as PO − previous, so none is 0 — as
+// uvarints, then a 0; looked up with the map[string]-on-[]byte idiom), a
 // member-enumeration slice, and one
 // coverage bitset that is only cloned for seeds that found a new,
 // non-pruned class. It never retains a syndrome, so the caller may hand
@@ -913,9 +920,12 @@ func (sf *scoreFolder) fold(si int, syn *fsim.Syndrome) {
 			continue
 		}
 		sf.sigBuf = binary.AppendUvarint(sf.sigBuf, uint64(p))
+		prev := -1
 		for i, w := range fails {
 			for ; w != 0; w &= w - 1 {
-				sf.sigBuf = binary.AppendUvarint(sf.sigBuf, uint64(i*64+bits.TrailingZeros64(w))+1)
+				po := i*64 + bits.TrailingZeros64(w)
+				sf.sigBuf = binary.AppendUvarint(sf.sigBuf, uint64(po-prev))
+				prev = po
 			}
 		}
 		sf.sigBuf = append(sf.sigBuf, 0)

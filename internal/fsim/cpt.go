@@ -182,10 +182,11 @@ func (fs *FaultSim) CriticalWord(ctx context.Context, w int, fails []bitset.Set,
 	return t.union
 }
 
-// flipStems fills the stem table: one Propagate per stem of the cone,
-// forcing it to the complement of its fault-free word, and, in the stem's
-// row, one bit per traced (pattern, output) pair: whether the output's
-// three-valued word changed on that pattern.
+// flipStems fills the stem table: per stem of the cone, its flip (read
+// from the store, or propagated and stored: the stem forced to the
+// complement of its fault-free word) and, in the stem's row, one bit per
+// traced (pattern, output) pair: whether the output's three-valued word
+// changed on that pattern.
 func (fs *FaultSim) flipStems(ctx context.Context, w, workers, rowWords int) {
 	t := &fs.cpt
 	if need := len(t.stems) * rowWords; cap(t.flips) < need {
@@ -195,7 +196,6 @@ func (fs *FaultSim) flipStems(ctx context.Context, w, workers, rowWords int) {
 		clear(t.flips)
 	}
 	fs.stats.stemFlips.Add(int64(len(t.stems)))
-	good := fs.words[w]
 	var next atomic.Int64
 	run := func(wk int, k *FaultSim) {
 		prof.Worker(ctx, wk, "", func(ctx context.Context, _ prof.Phase) {
@@ -205,12 +205,11 @@ func (fs *FaultSim) flipStems(ctx context.Context, w, workers, rowWords int) {
 					return
 				}
 				for i := start; i < min(start+stemChunk, len(t.stems)); i++ {
-					s := t.stems[i]
 					row := t.flips[i*rowWords : (i+1)*rowWords]
-					for _, r := range k.Propagate(w, Force{Net: s, Val: good[s].Not()}) {
-						if m := t.targets[r.PO]; m != 0 {
-							g := good[fs.c.POs[r.PO]]
-							packBits(row, int(t.base[r.PO]), m, (r.Val.V0^g.V0)|(r.Val.V1^g.V1))
+					fl := k.flip(t.stems[i], w)
+					for j := 0; j < fl.len(); j++ {
+						if po := fl.po(j); t.targets[po] != 0 {
+							packBits(row, int(t.base[po]), t.targets[po], fl.diff(j))
 						}
 					}
 				}

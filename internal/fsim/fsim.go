@@ -1,7 +1,8 @@
 // Package fsim provides single-fault simulation and effect-cause analysis
 // primitives, all on one forced-propagation kernel (FaultSim.Propagate:
 // 64 patterns per word, event-driven through the forced nets' fanout
-// against cached fault-free words):
+// against cached fault-free words), whose flips of one net in one word
+// are memoized in a store shared by CPT and stuck-at scoring (ConeCache):
 //
 //   - a packed-parallel single-fault simulator (PPSFP: one fault at a
 //     time), syndrome computation (per-pattern failing-output sets) and
@@ -113,12 +114,10 @@ type FaultSim struct {
 	words  [][]logic.PV64 // words[w][net] fault-free values for word w
 	nWords int
 	// Per-circuit tables shared by forks: the PO index of each net (-1
-	// when it is no output), the number of fan-in references to each net
-	// (more than one makes it a fanout stem), and whether a net reaches
-	// any output at all.
-	poOf  []int32
-	refs  []int32
-	reach []bool
+	// when it is no output) and the number of fan-in references to each
+	// net (more than one makes it a fanout stem).
+	poOf []int32
+	refs []int32
 
 	// Propagate scratch (private per fork): cur[n] is net n's value in
 	// the current propagation where valid[n] == gen; queued[n] == gen
@@ -141,10 +140,11 @@ type FaultSim struct {
 	forkMu   sync.Mutex
 	forkFree []*FaultSim
 
-	// cache, when attached, memoizes per-(fault, word) cone results;
-	// shared by forks (see AttachCache and ConeCache).
+	// cache, when attached, is the flip store (see ConeCache) in place
+	// of own, the private store NewFaultSim made; both are shared by forks.
 	cache *ConeCache
-	// probeHits/probeMisses tally this simulator's own cone-cache probes.
+	own   *ConeCache
+	// probeHits/probeMisses tally this simulator's own flip-store probes.
 	// Unlike the ConeCache's shared atomic counters these are fork-local
 	// plain ints (each fork is single-goroutine by contract), which is what
 	// lets per-worker trace spans attribute cache luck without contention.
@@ -173,8 +173,8 @@ func NewFaultSim(c *netlist.Circuit, pats []sim.Pattern) (*FaultSim, error) {
 		pats:  pats,
 		poOf:  make([]int32, n),
 		refs:  make([]int32, n),
-		reach: make([]bool, n),
 		arena: newSynArena(len(pats), len(c.POs)),
+		own:   NewConeCache(0),
 	}
 	fs.newScratch()
 	for i := range fs.poOf {
@@ -186,14 +186,6 @@ func NewFaultSim(c *netlist.Circuit, pats []sim.Pattern) (*FaultSim, error) {
 	for i := range c.Gates {
 		for _, f := range c.Gates[i].Fanin {
 			fs.refs[f]++
-		}
-	}
-	ord := c.LevelOrder()
-	for i := len(ord) - 1; i >= 0; i-- {
-		id := ord[i]
-		fs.reach[id] = fs.poOf[id] >= 0
-		for _, rd := range c.Gates[id].Fanout {
-			fs.reach[id] = fs.reach[id] || fs.reach[rd]
 		}
 	}
 	s := sim.New(c)
@@ -260,20 +252,6 @@ func (fs *FaultSim) GoodValue(id netlist.NetID, p int) logic.Value {
 // w (patterns w·64 … w·64+63).
 func (fs *FaultSim) GoodWord(id netlist.NetID, w int) logic.PV64 {
 	return fs.words[w][id]
-}
-
-// GoodPOSet returns the fault-free PO values of pattern p as a bitset of
-// POs at logic 1 (X POs are omitted; callers in the diagnosis flow only use
-// determinate patterns).
-func (fs *FaultSim) GoodPOSet(p int) bitset.Set {
-	out := bitset.New(len(fs.c.POs))
-	w, slot := p/logic.W, uint(p%logic.W)
-	for i, po := range fs.c.POs {
-		if fs.words[w][po].Get(slot) == logic.One {
-			out.Add(i)
-		}
-	}
-	return out
 }
 
 // Force pins one net to a packed word in Propagate.
@@ -380,41 +358,54 @@ func forceValue(v1 bool) logic.PV64 {
 }
 
 // SimulateStuckAt computes the syndrome of a single stuck-at fault over the
-// whole test set, one Propagate per pattern word. With a cache attached,
-// per-word results are replayed or filled as a side effect. The returned
-// syndrome comes from the simulator's arena; callers on the hot path
-// should hand it back with ReleaseSyndrome once folded.
+// whole test set. A fault reaches the outputs only through the root of its
+// fanout-free region: the first net on its unique fanout path that is a
+// primary output or has other than one fan-in reference — a stem, whose
+// flip CPT may have stored already, or an output (a PO ends the walk even
+// when a gate reads it, or its own failures would be lost). So, per
+// pattern word, the fault's effect is walked up that path one gate at a
+// time, side inputs at their fault-free words, to the root's faulty word
+// F, and the outputs fail where the root's flip (see flip) differs,
+// masked by F.DiffKnown(good[root]): the patterns on which F is the known
+// complement of the root's fault-free word. No pattern outside the mask
+// can fail. The packed logic is dual-rail ("may be 0", "may be 1"), so
+// gate evaluation is monotone: where the root's faulty word is X, every
+// downstream faulty value is a superset of the fault-free one, and where
+// its fault-free word is X a subset, so no output shows a known
+// difference there. The walk stops early once the effect has no known
+// difference left. Propagate runs only to fill the flip store. The
+// returned syndrome comes from the simulator's arena; callers on the hot
+// path should hand it back with ReleaseSyndrome once folded.
 func (fs *FaultSim) SimulateStuckAt(f fault.StuckAt) *Syndrome {
 	syn := fs.arena.acquire()
 	fs.stats.sims.Inc()
-	if !fs.reach[f.Net] {
-		return syn // the fault cannot reach any output
-	}
-	force := Force{Net: f.Net, Val: forceValue(f.Value1)}
+	stuck := forceValue(f.Value1)
+	evals := 0
 	for w := 0; w < fs.nWords; w++ {
-		if fs.cache != nil {
-			if diffs, ok := fs.cachedWord(f, w); ok {
-				for _, d := range diffs {
-					fs.addFails(syn, w, int(d.po), d.diff)
-				}
-				continue
+		good := fs.words[w]
+		n, v := f.Net, stuck
+		for v.DiffKnown(good[n]) != 0 && fs.poOf[n] < 0 && fs.refs[n] == 1 {
+			rd := fs.c.Gates[n].Fanout[0]
+			g := &fs.c.Gates[rd]
+			for _, in := range g.Fanin {
+				fs.cur[in] = good[in]
 			}
+			fs.cur[n] = v
+			n, v = rd, sim.EvalPacked(g.Type, g.Fanin, fs.cur)
+			evals++
 		}
-		var diffs []poWordDiff
-		for _, r := range fs.Propagate(w, force) {
-			diff := r.Val.DiffKnown(fs.words[w][fs.c.POs[r.PO]])
-			if diff == 0 {
-				continue
-			}
-			if fs.cache != nil {
-				diffs = append(diffs, poWordDiff{po: int32(r.PO), diff: diff})
-			}
-			fs.addFails(syn, w, r.PO, diff)
+		mask := v.DiffKnown(good[n])
+		if mask == 0 {
+			continue
 		}
-		if fs.cache != nil {
-			fs.storeWord(f, w, diffs)
+		fl := fs.flip(n, w)
+		for i := 0; i < fl.len(); i++ {
+			if d := fl.known(i) & mask; d != 0 {
+				fs.addFails(syn, w, fl.po(i), d)
+			}
 		}
 	}
+	fs.stats.gateEvals.Add(int64(evals))
 	return syn
 }
 

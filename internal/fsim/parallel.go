@@ -7,7 +7,7 @@
 // uneven cone sizes. Each worker owns a forked simulator — private scratch
 // words, shared immutable state, shared atomic counters — so no locks sit
 // on the per-gate hot path; the only shared mutable structures are the
-// optional ConeCache (locked per shard) and the syndrome arena (a
+// flip store (a ConeCache, locked per shard) and the syndrome arena (a
 // mutex-guarded free list). Results are merged by fault index, and the chunk-fold API
 // delivers chunks in ascending order, so output is bit-identical to a
 // sequential run regardless of worker count or scheduling.
@@ -55,8 +55,8 @@ func batchChunkSize(n, workers int) int {
 }
 
 // Fork returns a simulator sharing fs's immutable packed state (fault-free
-// words, pattern set, per-circuit tables, syndrome arena, attached cache
-// and observability counters) with private propagation scratch. The fork
+// words, pattern set, per-circuit tables, syndrome arena, flip store and
+// observability counters) with private propagation scratch. The fork
 // and its parent may simulate concurrently; neither is individually safe
 // for concurrent use by multiple goroutines. Prefer
 // AcquireFork/ReleaseFork on repeated batches — it recycles fork scratch
@@ -69,8 +69,8 @@ func (fs *FaultSim) Fork() *FaultSim {
 		nWords:  fs.nWords,
 		poOf:    fs.poOf,
 		refs:    fs.refs,
-		reach:   fs.reach,
 		cache:   fs.cache,
+		own:     fs.own,
 		arena:   fs.arena,
 		rootSim: fs.root(),
 		stats:   fs.stats,

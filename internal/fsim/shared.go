@@ -10,8 +10,8 @@ import (
 // one Shared through all of a workload's devices; the diagnosis service
 // keeps one per registered workload for the lifetime of the process.
 type Shared struct {
-	// Cache memoizes per-(fault site, pattern word, stuck value) cone
-	// results across candidates and across diagnoses.
+	// Cache is the workload's flip store (per (net, pattern word)), read
+	// by extraction and scoring across candidates and across diagnoses.
 	Cache *ConeCache
 	// Workers is the per-diagnosis fault-parallel pool size (the fault
 	// share left over once `outer` concurrent diagnoses split the budget).

@@ -39,43 +39,6 @@ func (c *Circuit) FanoutCone(root NetID) []bool {
 	return out
 }
 
-// ReachablePOs returns the primary outputs structurally reachable from net
-// id. Diagnosis uses this to prune candidates that cannot possibly explain a
-// failing output.
-func (c *Circuit) ReachablePOs(id NetID) []NetID {
-	cone := c.FanoutCone(id)
-	var pos []NetID
-	for _, po := range c.POs {
-		if cone[po] {
-			pos = append(pos, po)
-		}
-	}
-	return pos
-}
-
-// UnionFaninCone returns the union of the fan-in cones of the given roots.
-func (c *Circuit) UnionFaninCone(roots []NetID) []bool {
-	in := make([]bool, len(c.Gates))
-	var stack []NetID
-	for _, r := range roots {
-		if !in[r] {
-			in[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range c.Gates[n].Fanin {
-			if !in[f] {
-				in[f] = true
-				stack = append(stack, f)
-			}
-		}
-	}
-	return in
-}
-
 // IsFanoutStem reports whether net id drives more than one gate input (its
 // value reconverges), which matters to critical path tracing: criticality of
 // a stem cannot be inferred from branch criticality alone.

@@ -123,15 +123,6 @@ func (s *Simulator) Value(id netlist.NetID) logic.PV64 { return s.vals[id] }
 // they need persistence.
 func (s *Simulator) Values() []logic.PV64 { return s.vals }
 
-// POValues returns the packed values at the primary outputs, in PO order.
-func (s *Simulator) POValues() []logic.PV64 {
-	out := make([]logic.PV64, len(s.c.POs))
-	for i, po := range s.c.POs {
-		out[i] = s.vals[po]
-	}
-	return out
-}
-
 // EvalPacked evaluates one gate over packed inputs, reading each fan-in
 // net's value from vals (indexed by NetID).
 func EvalPacked(t netlist.GateType, fanin []netlist.NetID, vals []logic.PV64) logic.PV64 {

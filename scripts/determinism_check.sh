@@ -2,13 +2,15 @@
 # determinism_check.sh: CI proof that diagnosis reports are bit-identical
 # across every execution strategy of the parallel engine. Generates a
 # multi-defect device, then diffs `mddiag` output across worker counts
-# (-j 1/4/8) and cone-cache states (uncached vs a warm cache), against
+# (-j 1/4/8) and cone-cache states (uncached, a warm cache, and a
+# 32-entry cache — one entry per shard — in which nearly every fill
+# evicts, so CPT and scoring refill evicted flips concurrently), against
 # the sequential uncached report as reference, and diffs the flight
 # recorder's `-explain-out` JSONL at -j 4/8 against -j 1 (extraction and
 # refinement run their worker pools with the recorder attached and emit
 # its events afterwards, in order). Any diff is a determinism regression
-# in chunked scoring, parallel extraction or refinement, or cache replay.
-# Run via `make determinism-check`.
+# in chunked scoring, parallel extraction or refinement, or the flip
+# store's fill, replay and eviction. Run via `make determinism-check`.
 set -eu
 
 BIN=${BIN:-bin}
@@ -56,9 +58,15 @@ for j in 1 4 8; do
         cat "$WORK/diff.txt" >&2
         fail=1
     fi
+    run_mddiag -j "$j" -conecache 32 > "$WORK/thrash$j.txt"
+    if ! diff -u "$WORK/ref.txt" "$WORK/thrash$j.txt" > "$WORK/diff.txt"; then
+        echo "determinism_check: -j $j thrashing-cache report differs from uncached -j 1:" >&2
+        cat "$WORK/diff.txt" >&2
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "determinism_check: reports bit-identical across -j 1/4/8, cached and uncached; explain JSONL bit-identical across -j 1/4/8"
+echo "determinism_check: reports bit-identical across -j 1/4/8, uncached, warm-cached and with a thrashing cache; explain JSONL bit-identical across -j 1/4/8"
